@@ -3,11 +3,12 @@
 //
 //   1. Whole-file decode: one >= 32 MiB object (deflate-6 inner) decoded
 //      with 1/2/4/8 worker threads through ChunkedCompressor — the
-//      open()-eager path's parallel speedup. The >= 3x-at-8-threads
+//      parallel speedup of FanStoreFs::materialize() and the prefetcher's
+//      warm_file() path. The >= 3x-at-8-threads
 //      acceptance bar is enforced only when the host actually has >= 8
 //      cores (the JSON records hardware_concurrency so CI boxes with 1-2
 //      cores still produce an honest artifact).
-//   2. Partial reads: a lazy FanStoreFs pread of a 64 KiB window must
+//   2. Partial reads: a FanStoreFs pread of a 64 KiB window must
 //      decode at most the two overlapping chunks. This is machine
 //      independent, cross-checked against the "chunked.*" registry
 //      counters, and the process exits non-zero on any violation.
@@ -123,7 +124,7 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  // --- 2. Partial preads through a lazy FanStoreFs -----------------------
+  // --- 2. Partial preads through FanStoreFs ------------------------------
   bench::section("Partial 64 KiB preads, lazy open (per chunk size)");
   const std::vector<std::size_t> chunk_sizes{
       std::size_t{64} << 10, std::size_t{256} << 10, std::size_t{1} << 20};
@@ -149,7 +150,6 @@ int main(int argc, char** argv) {
     std::uint64_t decoded_chunks_max = 0;
     mpi::run_world(1, [&](mpi::Comm& comm) {
       core::Instance::Options opt;
-      opt.fs.lazy_chunked_open = true;
       opt.fs.cache_bytes = 2 * object_bytes;
       core::Instance inst(comm, opt);
       format::PartitionWriter w;

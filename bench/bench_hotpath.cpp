@@ -323,25 +323,26 @@ int main(int argc, char** argv) {
 
     // Cross-check the cache's registry counters against the bench's own
     // bookkeeping: every loader invocation is a miss, everything else a hit.
-    const auto cstats = sharded.stats();
-    hit_metrics_table.row({std::to_string(t), std::to_string(cstats.hits),
-                           std::to_string(cstats.misses),
-                           std::to_string(cstats.single_flight_waits),
-                           std::to_string(cstats.evictions)});
-    if (cstats.misses != sharded_loads.load()) {
+    const auto cstats = sharded.metrics().snapshot();
+    const std::uint64_t hits = cstats.counter("cache.hits");
+    const std::uint64_t misses = cstats.counter("cache.misses");
+    hit_metrics_table.row(
+        {std::to_string(t), std::to_string(hits), std::to_string(misses),
+         std::to_string(cstats.counter("cache.single_flight_waits")),
+         std::to_string(cstats.counter("cache.evictions"))});
+    if (misses != sharded_loads.load()) {
       std::fprintf(stderr,
                    "METRICS MISMATCH: cache.misses=%llu but the bench ran "
                    "%llu loaders (t=%d)\n",
-                   static_cast<unsigned long long>(cstats.misses),
+                   static_cast<unsigned long long>(misses),
                    static_cast<unsigned long long>(sharded_loads.load()), t);
       metrics_ok = false;
     }
-    if (cstats.hits + cstats.misses != total_ops) {
+    if (hits + misses != total_ops) {
       std::fprintf(stderr,
                    "METRICS MISMATCH: hits+misses=%llu but the bench issued "
                    "%zu acquires (t=%d)\n",
-                   static_cast<unsigned long long>(cstats.hits + cstats.misses),
-                   total_ops, t);
+                   static_cast<unsigned long long>(hits + misses), total_ops, t);
       metrics_ok = false;
     }
   }

@@ -108,11 +108,11 @@ int main(int argc, char** argv) {
 
     // "Validation" after the last epoch: every node reads the broadcast
     // set locally (zero interconnect traffic for it).
-    const auto before = inst.fs().stats().remote_fetches;
+    const auto before = inst.metrics().counter("fs.remote_fetches").value();
     for (int i = 0; i < 8; ++i) {
       (void)posixfs::read_file(posix, "fs/imagenet/val/img" + std::to_string(i) + ".jpg");
     }
-    const auto after = inst.fs().stats().remote_fetches;
+    const auto after = inst.metrics().counter("fs.remote_fetches").value();
     if (comm.rank() == 0 && after != before) {
       std::printf("WARNING: broadcast partition read went remote\n");
     }

@@ -61,7 +61,6 @@ ClusterNode::ClusterNode(mpi::Comm comm, ShardStore* store, NodeOptions options)
     : comm_(comm),
       store_(store),
       options_(std::move(options)),
-      sharded_(options_.replication_factor < comm_.size()),
       owned_metrics_(options_.metrics != nullptr
                          ? nullptr
                          : std::make_unique<obs::MetricsRegistry>()),
@@ -464,8 +463,6 @@ std::vector<std::string> ClusterNode::enumerate_paths() {
 }
 
 // --- MetaResolver ----------------------------------------------------------
-
-bool ClusterNode::sharded() const { return sharded_; }
 
 std::vector<int> ClusterNode::meta_owners(const std::string& path) {
   sync::MutexLock lock(mu_);

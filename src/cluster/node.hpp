@@ -24,9 +24,9 @@
 //              (the membership-churn test suite runs this way on a
 //              ManualTimeSource world).
 //
-// Compatibility mode: replication_factor >= world size makes sharded()
-// false — Instance then keeps the classic allgather exchange byte for byte
-// and the resolver is never consulted.
+// replication_factor >= world size is not a separate mode: every rank owns
+// every shard and the same push exchange converges to full replication.
+// The classic allgather (no cluster node at all) is Instance's rf = 0.
 #pragma once
 
 #include <atomic>
@@ -68,8 +68,8 @@ constexpr std::uint8_t kMetaNotFound = 1;
 constexpr std::uint8_t kMetaMalformed = 2;
 
 struct NodeOptions {
-  /// Distinct owner ranks per metadata shard. >= world size selects the
-  /// full-replication compatibility mode (sharded() == false).
+  /// Distinct owner ranks per metadata shard (>= world size: every member
+  /// owns every shard).
   int replication_factor = 1;
   int vnodes = 32;
   std::uint32_t nshards = 64;
@@ -165,7 +165,6 @@ class ClusterNode final : public MetaResolver {
   std::vector<std::string> enumerate_paths();
 
   // --- MetaResolver (consumed by core::FanStoreFs) ----------------------
-  bool sharded() const override;
   std::optional<VersionedStat> resolve(const std::string& path) override;
   std::vector<int> meta_owners(const std::string& path) override;
   std::vector<posixfs::Dirent> list_union(const std::string& dir) override;
@@ -217,7 +216,6 @@ class ClusterNode final : public MetaResolver {
   mpi::Comm comm_;
   ShardStore* store_;  // internally synchronized
   NodeOptions options_;
-  bool sharded_;
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // when not injected
   Metrics m_;
 

@@ -19,11 +19,6 @@ class MetaResolver {
  public:
   virtual ~MetaResolver() = default;
 
-  /// False in the replication_factor >= nranks compatibility mode: every
-  /// rank holds the full namespace, so the fs never consults the resolver
-  /// and behaves byte-identically to the classic allgather build.
-  virtual bool sharded() const = 0;
-
   /// Remote metadata lookup: current shard owners first, previous-ring
   /// owners mid-rebalance, then any serving rank (directory synthesis).
   virtual std::optional<VersionedStat> resolve(const std::string& path) = 0;

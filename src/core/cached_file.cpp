@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "util/crc32.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fanstore::core {
@@ -10,8 +11,8 @@ namespace fanstore::core {
 CachedFile::CachedFile(Bytes plain) : plain_(std::move(plain)) {}
 
 CachedFile::CachedFile(Bytes compressed, compress::CompressorId chunked_id,
-                       std::size_t original_size)
-    : compressed_(std::move(compressed)) {
+                       std::size_t original_size, std::uint32_t plain_crc)
+    : compressed_(std::move(compressed)), plain_crc_(plain_crc) {
   frame_ = compress::ChunkedFrame::parse(as_view(compressed_), original_size);
   if (frame_.inner_id() != compress::chunked_inner_id(chunked_id) ||
       frame_.chunk_size() != compress::chunked_chunk_size(chunked_id)) {
@@ -56,6 +57,14 @@ bool CachedFile::ensure_chunk(std::size_t i) {
     decode_done_.notify_all();
     throw;
   }
+  // The last chunk to land checks the whole file before it is published,
+  // so no reader of this chunk can copy bytes that fail the check. The
+  // acq_rel counter orders every other chunk's bytes before this read.
+  if (decoded_chunks_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+          chunk_count_ &&
+      plain_crc_ != 0 && crc32(as_view(plain_)) != plain_crc_) {
+    corrupt_.store(true, std::memory_order_release);
+  }
   {
     sync::MutexLock lk(mu_);
     states_[i].store(kReady, std::memory_order_release);
@@ -79,11 +88,14 @@ void CachedFile::read_range(std::size_t offset, MutByteView out,
       }
     }
   }
+  if (corrupt()) {
+    throw compress::CorruptDataError("chunked: whole-file crc mismatch");
+  }
   std::memcpy(out.data(), plain_.data() + offset, out.size());
 }
 
 void CachedFile::materialize_all(std::size_t threads, DecodeStats* stats) {
-  if (chunk_count_ == 0 || fully_materialized()) return;
+  if (fully_materialized()) return;
   std::vector<std::size_t> missing;
   missing.reserve(chunk_count_);
   for (std::size_t i = 0; i < chunk_count_; ++i) {

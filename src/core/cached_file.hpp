@@ -8,7 +8,13 @@
 //     pread() latency win: a 64 KiB read of a 100 MB object touches at most
 //     two chunks instead of the whole file.
 //   - materialize_all() decodes every missing chunk, optionally in parallel
-//     (open()'s eager path and the prefetcher's warm path).
+//     (FanStoreFs::materialize() and the prefetcher's warm path).
+//
+// Whole-file integrity: whichever call decodes the last chunk checks the
+// plain bytes against the crc recorded at load time before publishing
+// that chunk, so a full read never sees unchecked bytes. A failed check
+// marks the entry corrupt for good: every later read_range() throws, so
+// the bytes are never served again.
 //
 // Concurrency: each chunk has an atomic state (empty -> decoding -> ready).
 // A reader claims an empty chunk under mu_, decodes with no lock held, then
@@ -54,8 +60,9 @@ class CachedFile {
 
   /// Lazy chunked entry: parses and validates the frame, allocates the
   /// plain buffer, decodes nothing. Throws CorruptDataError on a bad frame.
+  /// `plain_crc` is the crc32 of the whole plain file (0 = unchecked).
   CachedFile(Bytes compressed, compress::CompressorId chunked_id,
-             std::size_t original_size);
+             std::size_t original_size, std::uint32_t plain_crc = 0);
 
   CachedFile(const CachedFile&) = delete;
   CachedFile& operator=(const CachedFile&) = delete;
@@ -76,15 +83,21 @@ class CachedFile {
   std::size_t chunks_materialized() const {
     return ready_chunks_.load(std::memory_order_acquire);
   }
+  /// True once the whole-file crc check has failed; never cleared.
+  bool corrupt() const { return corrupt_.load(std::memory_order_acquire); }
+  /// The whole-file crc this entry is checked against (0 = unchecked).
+  std::uint32_t plain_crc() const { return plain_crc_; }
 
   /// Copies [offset, offset + out.size()) into `out`, decoding exactly the
   /// overlapping missing chunks first. The caller clips the range to
-  /// size(). Throws CorruptDataError if a needed chunk is corrupt.
+  /// size(). Throws CorruptDataError if a needed chunk is corrupt, or —
+  /// after filling `stats` — when the entry failed its whole-file crc.
   void read_range(std::size_t offset, MutByteView out, DecodeStats* stats);
 
   /// Decodes every missing chunk, using up to `threads` workers when more
   /// than one chunk is missing. Throws CorruptDataError on a corrupt chunk
-  /// (remaining chunks may still have been decoded).
+  /// (remaining chunks may still have been decoded). Hands out no bytes, so
+  /// a failed whole-file crc only shows in corrupt() afterwards.
   void materialize_all(std::size_t threads, DecodeStats* stats);
 
   /// The full plain contents; only valid once fully_materialized().
@@ -121,6 +134,9 @@ class CachedFile {
   compress::ChunkedFrame frame_;   // views into compressed_
   std::size_t chunk_count_ = 0;    // 0 for non-chunked entries
   std::atomic<std::size_t> ready_chunks_{0};
+  std::atomic<std::size_t> decoded_chunks_{0};  // counted before publish
+  std::uint32_t plain_crc_ = 0;
+  std::atomic<bool> corrupt_{false};
   std::unique_ptr<std::atomic<std::uint8_t>[]> states_;
   // mu_ guards no member directly: chunk states are claimed via atomic CAS
   // on states_[], and the mutex only parks losers of a decode race until

@@ -18,7 +18,6 @@ FanStoreFs::IoMetrics::IoMetrics(obs::MetricsRegistry& m)
       cache_hits(m.counter("cache.hits")),
       local_misses(m.counter("fs.local_misses")),
       remote_fetches(m.counter("fs.remote_fetches")),
-      direct_fetches(m.counter("fs.direct_fetches")),
       bytes_read(m.counter("fs.bytes_read")),
       bytes_written(m.counter("fs.bytes_written")),
       remote_bytes(m.counter("fs.remote_bytes")),
@@ -94,28 +93,6 @@ FanStoreFs::FetchStatus FanStoreFs::fetch_from(int rank, const std::string& path
                                                const format::FileStat& stat,
                                                Blob* out) {
   obs::TraceSpan span("fs.fetch", options_.clock);
-  // Node-local fast path: a peer registered in the PeerDirectory is read
-  // directly — no request encode, reply buffer, or daemon-thread hop. The
-  // network cost model is still charged: ranks model nodes, the directory
-  // only removes the simulation's copy overhead.
-  if (options_.peers != nullptr) {
-    if (const CompressedBackend* peer = options_.peers->find(rank)) {
-      std::optional<Blob> direct = peer->get(path);
-      if (!direct) return FetchStatus::kMiss;
-      charge(options_.cost.network.transfer_time(direct->data.size(),
-                                                 options_.cost.nodes));
-      if (options_.cost.charge_remote_service) {
-        // Owner-side service time (request handling + backend lookup): the
-        // measured local/remote gap beyond wire time (paper Tables III/VI).
-        charge(options_.cost.remote_service.file_read_time(direct->data.size()));
-      }
-      io_.remote_fetches.inc();
-      io_.direct_fetches.inc();
-      io_.remote_bytes.inc(direct->data.size());
-      *out = std::move(*direct);
-      return FetchStatus::kOk;
-    }
-  }
   const std::uint32_t reply_tag =
       static_cast<std::uint32_t>(kReplyTagBase) +
       (reply_seq_.fetch_add(1, std::memory_order_relaxed) % 1000000u);
@@ -160,6 +137,8 @@ FanStoreFs::FetchStatus FanStoreFs::fetch_from(int rank, const std::string& path
   if (raw_size != 0 && raw_size != stat.size) return FetchStatus::kMiss;
   charge(options_.cost.network.transfer_time(fetched.data.size(), options_.cost.nodes));
   if (options_.cost.charge_remote_service) {
+    // Owner-side service time (request handling + backend lookup): the
+    // measured local/remote gap beyond wire time (paper Tables III/VI).
     charge(options_.cost.remote_service.file_read_time(fetched.data.size()));
   }
   io_.remote_fetches.inc();
@@ -240,11 +219,12 @@ ColdResult FanStoreFs::load_cached(const std::string& path,
   if (compress::is_chunked_id(blob->compressor)) {
     // Chunked frame: parse + validate now, decode nothing. Chunks decode
     // (and their cost is charged) exactly once each, wherever they first
-    // materialize — eager open, prefetch warm, or a pread range. The frame
+    // materialize — a read range, materialize(), or a prefetch warm; the
+    // call that lands the last chunk checks the whole-file crc. The frame
     // stays inside the CachedFile, so the tiered cache demotes it without
     // a separate compressed copy here.
-    result.file = std::make_shared<CachedFile>(std::move(blob->data),
-                                               blob->compressor, stat.size);
+    result.file = std::make_shared<CachedFile>(
+        std::move(blob->data), blob->compressor, stat.size, stat.crc);
     io_.load_us.record(static_cast<std::uint64_t>(timer.elapsed_us()));
     return result;
   }
@@ -273,9 +253,9 @@ ColdResult FanStoreFs::load_cached(const std::string& path,
   return result;
 }
 
-void FanStoreFs::charge_chunk_decode(const CachedFile& file,
-                                     const CachedFile::DecodeStats& stats,
-                                     std::size_t threads) {
+void FanStoreFs::account_decode(const std::string& path, const CachedFile& file,
+                                const CachedFile::DecodeStats& stats,
+                                std::size_t threads) {
   if (stats.chunks_decoded == 0) return;
   io_.chunks_decoded.inc(stats.chunks_decoded);
   io_.chunked_bytes_decoded.inc(stats.bytes_decoded);
@@ -283,30 +263,29 @@ void FanStoreFs::charge_chunk_decode(const CachedFile& file,
     charge(simnet::CodecSpeedTable::shared().chunked_decompress_seconds(
         file.inner_id(), stats.bytes_decoded, stats.chunks_decoded, threads));
   }
+  cache_.recharge(path);
 }
 
 void FanStoreFs::materialize_entry(const std::string& path, CachedFile& file) {
-  if (file.fully_materialized()) return;
-  obs::TraceSpan span("fs.chunked_decode", options_.clock);
-  WallTimer timer;
-  const std::size_t threads = decode_threads();
-  if (threads > 1 && file.chunk_count() > 1) io_.parallel_decodes.inc();
-  CachedFile::DecodeStats ds;
-  file.materialize_all(threads, &ds);
-  charge_chunk_decode(file, ds, threads);
-  io_.decode_us.record(static_cast<std::uint64_t>(timer.elapsed_us()));
-  cache_.recharge(path);
-  // Whole-file crc check happens here, when the last chunk lands (the
-  // per-chunk compressed crcs already caught corruption chunk-wise).
-  const auto stat = stat_of(path);
-  if (stat && stat->crc != 0 && crc32(as_view(file.plain())) != stat->crc) {
+  if (!file.fully_materialized()) {
+    obs::TraceSpan span("fs.chunked_decode", options_.clock);
+    WallTimer timer;
+    const std::size_t threads = decode_threads();
+    if (threads > 1 && file.chunk_count() > 1) io_.parallel_decodes.inc();
+    CachedFile::DecodeStats ds;
+    file.materialize_all(threads, &ds);
+    account_decode(path, file, ds, threads);
+    io_.decode_us.record(static_cast<std::uint64_t>(timer.elapsed_us()));
+  }
+  // Whichever call landed the last chunk checked the whole-file crc.
+  if (file.corrupt()) {
     throw std::runtime_error("fanstore: CRC mismatch for " + path);
   }
 }
 
 std::optional<format::FileStat> FanStoreFs::stat_of(const std::string& path) {
   if (const auto local = meta_->lookup(path)) return local;
-  if (!sharded_meta()) return std::nullopt;
+  if (options_.meta_resolver == nullptr) return std::nullopt;
   const auto remote = options_.meta_resolver->resolve(path);
   if (!remote) return std::nullopt;
   return remote->stat;
@@ -315,8 +294,8 @@ std::optional<format::FileStat> FanStoreFs::stat_of(const std::string& path) {
 bool FanStoreFs::warm_file(std::string_view path) {
   const int fd = open(path, posixfs::OpenMode::kRead);
   if (fd < 0) return false;
-  // Eager open already decoded everything; in lazy mode warming must finish
-  // the job so the training thread's reads are pure cache hits.
+  // open() decodes nothing: warming decodes every chunk (in parallel) so
+  // the training thread's reads are pure cache hits.
   const int rc = materialize(fd);
   close(fd);
   return rc == 0;
@@ -406,18 +385,12 @@ int FanStoreFs::open(std::string_view path_in, posixfs::OpenMode mode) {
     FANSTORE_LOG_WARN("fanstore open(", path, "): ", e.what());
     return -EIO;
   }
-  if (!options_.lazy_chunked_open && !pinned->fully_materialized()) {
-    // Eager mode (default): decode every chunk now, in parallel — open()
-    // keeps its classic "returns fully decompressed" contract but the
-    // decompress step no longer serializes on one core.
-    try {
-      materialize_entry(path, *pinned);
-    } catch (const std::exception& e) {
-      FANSTORE_LOG_WARN("fanstore open(", path, "): ", e.what());
-      pinned.reset();
-      cache_.release(path);
-      return -EIO;
-    }
+  if (pinned->corrupt()) {
+    // A cached entry that failed its whole-file crc is never served again.
+    FANSTORE_LOG_WARN("fanstore open(", path, "): CRC mismatch");
+    pinned.reset();
+    cache_.release(path);
+    return -EIO;
   }
   io_.opens.inc();
   auto of = std::make_shared<OpenFile>();
@@ -467,7 +440,7 @@ int FanStoreFs::close(int fd) {
 
   charge(options_.cost.read_path.file_write_time(blob.data.size()));
   backend_->put(of->path, std::move(blob));
-  if (sharded_meta()) {
+  if (options_.meta_resolver != nullptr) {
     // Sharded model (§13): the metadata replicates to every shard owner
     // with a (version, writer) tag; concurrent writers of one path resolve
     // by deterministic last-writer-wins at each replica, no home-rank
@@ -512,10 +485,11 @@ std::int64_t FanStoreFs::read(int fd, MutByteView buf) {
   CachedFile& file = *of->pinned;
   std::size_t n = 0;
   CachedFile::DecodeStats ds;
+  bool failed = false;
   {
     // Copy under the per-file lock only: reads of different fds proceed in
     // parallel (the seed serialized every copy behind the global fs lock).
-    // Lazy chunked entries decode the touched chunks inline
+    // Chunked entries decode the touched chunks inline
     // (fanstore_fs.file.mu -> cached_file.mu is a documented leaf edge).
     sync::MutexLock flk(of->mu);
     if (of->offset >= static_cast<std::int64_t>(file.size())) return 0;
@@ -523,16 +497,14 @@ std::int64_t FanStoreFs::read(int fd, MutByteView buf) {
     try {
       file.read_range(static_cast<std::size_t>(of->offset),
                       MutByteView(buf.data(), n), &ds);
+      of->offset += static_cast<std::int64_t>(n);
     } catch (const std::exception& e) {
       FANSTORE_LOG_WARN("fanstore read(", of->path, "): ", e.what());
-      return -EIO;
+      failed = true;
     }
-    of->offset += static_cast<std::int64_t>(n);
   }
-  if (ds.chunks_decoded > 0) {
-    charge_chunk_decode(file, ds, 1);  // inline range decode is serial
-    cache_.recharge(of->path);
-  }
+  account_decode(of->path, file, ds, 1);  // inline range decode is serial
+  if (failed) return -EIO;
   charge(static_cast<double>(n) / options_.cost.read_path.bandwidth_bps);
   io_.bytes_read.inc(n);
   io_.read_us.record(static_cast<std::uint64_t>(timer.elapsed_us()));
@@ -558,17 +530,17 @@ std::int64_t FanStoreFs::pread(int fd, MutByteView buf, std::uint64_t offset) {
   // except for chunk materialization, which CachedFile coordinates itself.
   const bool was_partial = !file.fully_materialized();
   CachedFile::DecodeStats ds;
+  bool failed = false;
   try {
     file.read_range(static_cast<std::size_t>(offset), MutByteView(buf.data(), n),
                     &ds);
   } catch (const std::exception& e) {
     FANSTORE_LOG_WARN("fanstore pread(", of->path, "): ", e.what());
-    return -EIO;
+    failed = true;
   }
-  if (ds.chunks_decoded > 0) {
-    charge_chunk_decode(file, ds, 1);  // per-range decode charges only
-    cache_.recharge(of->path);         // the decoded bytes, serially
-  }
+  // Per-range decode charges only the decoded bytes, serially.
+  account_decode(of->path, file, ds, 1);
+  if (failed) return -EIO;
   if (was_partial && file.is_chunked()) {
     // The headline win, made observable: this read finished without the
     // whole file decoded, skipping every non-overlapping chunk.
@@ -641,7 +613,7 @@ int FanStoreFs::opendir(std::string_view path_in) {
   const std::string path = posixfs::normalize_path(path_in);
   charge_metadata();
   std::vector<posixfs::Dirent> entries;
-  if (sharded_meta()) {
+  if (options_.meta_resolver != nullptr) {
     // Sharded namespace: the local store only indexes directories whose
     // children hash here, so existence and listing union across ranks.
     if (!options_.meta_resolver->dir_exists_union(path)) return -ENOENT;
@@ -668,22 +640,6 @@ std::optional<posixfs::Dirent> FanStoreFs::readdir(int dir_handle) {
 int FanStoreFs::closedir(int dir_handle) {
   sync::MutexLock lk(dir_mu_);
   return open_dirs_.erase(dir_handle) > 0 ? 0 : -EBADF;
-}
-
-FanStoreFs::IoStats FanStoreFs::stats() const {
-  // Thin shim over the registry — the counters themselves are the source
-  // of truth (fanstore_metrics_dump() and stats() can never disagree).
-  IoStats out;
-  out.opens = io_.opens.value();
-  out.cache_hits = io_.cache_hits.value();
-  out.local_misses = io_.local_misses.value();
-  out.remote_fetches = io_.remote_fetches.value();
-  out.direct_fetches = io_.direct_fetches.value();
-  out.bytes_read = io_.bytes_read.value();
-  out.bytes_written = io_.bytes_written.value();
-  out.remote_bytes = io_.remote_bytes.value();
-  out.failovers = io_.failovers.value();
-  return out;
 }
 
 }  // namespace fanstore::core

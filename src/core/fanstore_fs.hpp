@@ -2,8 +2,10 @@
 //
 // open()  — Fig. 2: metadata lookup in RAM; compressed blob from the local
 //           backend or fetched from the owner rank's daemon over the
-//           interconnect; decompressed into the shared cache region.
-// read()  — Fig. 3: served from the cache region.
+//           interconnect; decompressed into the shared cache region
+//           (chunked blobs stay compressed until read).
+// read()  — Fig. 3: served from the cache region; a chunked entry decodes
+//           only the chunks the read touches.
 // close() — Fig. 4: drops the pin; refcount-FIFO eviction reclaims space.
 // write   — multi-read/single-write model: one writer, write-once; on
 //           close the data is dumped to the local backend and the metadata
@@ -13,9 +15,9 @@
 // serialize on one lock. The fd table, dir table, and writer set each have
 // their own mutex; per-fd read/write/seek state is guarded by a per-file
 // mutex so read() copies proceed in parallel; I/O counters are lock-free
-// obs::MetricsRegistry counters ("fs.*"/"cache.*", DESIGN.md §7) with
-// IoStats/stats() kept as a thin read shim; and fetch+decompress runs with
-// no FanStoreFs lock held (inside the cache's single-flight loader).
+// obs::MetricsRegistry counters ("fs.*"/"cache.*", DESIGN.md §7); and
+// fetch+decompress runs with no FanStoreFs lock held (inside the cache's
+// single-flight loader).
 //
 // Observability: every open/read/close emits a TraceSpan (wall + virtual
 // clock) and open/read/load/fetch latencies feed log-scale histograms.
@@ -91,22 +93,14 @@ class FanStoreFs final : public posixfs::Vfs {
     /// Backoff between retryable per-candidate fetch failures (timeout or
     /// CRC-rejected reply). Validated at construction.
     RetryPolicy retry;
-    /// Optional direct-access table: peers registered here are read
-    /// without the daemon round-trip (same cost charged). nullptr keeps
-    /// the pure message-passing path.
-    const PeerDirectory* peers = nullptr;
     /// Registry receiving the "fs.*" and "cache.*" metrics. nullptr gives
     /// the fs a private registry (one per FanStoreFs; Instance injects a
     /// per-rank registry shared with its daemon).
     obs::MetricsRegistry* metrics = nullptr;
-    /// Workers for parallel chunk decode of chunked-framed files
-    /// (compress/chunked.hpp); 0 = hardware concurrency.
+    /// Workers for materialize()/warm_file() whole-file decode of
+    /// chunked-framed files (compress/chunked.hpp); 0 = hardware
+    /// concurrency. read()/pread() decode the chunks they touch inline.
     std::size_t decode_threads = 0;
-    /// When true, open() of a chunked file decodes nothing — chunks
-    /// materialize on demand per read()/pread() range (partial reads of
-    /// large objects stop paying whole-file decode). Default eager keeps
-    /// the classic open-decompresses-everything behavior.
-    bool lazy_chunked_open = false;
     /// Tiered-cache budgets (DESIGN.md §12). Both zero (the default) keeps
     /// the classic single-pool plain-RAM cache, byte for byte.
     /// Compressed-RAM tier: plain-tier victims stay resident in chunked-
@@ -124,27 +118,11 @@ class FanStoreFs final : public posixfs::Vfs {
     /// (plain copy dropped at last close). 0 = always admit to plain RAM.
     std::size_t plain_admit_max_bytes = 0;
     /// Sharded-metadata resolver (cluster::ClusterNode; DESIGN.md §13).
-    /// When set and sharded(), a local metadata miss consults the shard's
-    /// owners, directory listings union across serving ranks, and write
-    /// metadata replicates to every owner instead of one home rank.
-    /// nullptr (or the replication_factor == nranks compatibility mode)
-    /// keeps the classic full-replication behavior byte for byte.
+    /// When set, a local metadata miss consults the shard's owners,
+    /// directory listings union across serving ranks, and write metadata
+    /// replicates to every owner instead of one home rank. nullptr keeps
+    /// the classic full-replication behavior.
     cluster::MetaResolver* meta_resolver = nullptr;
-  };
-
-  /// Plain snapshot of the I/O counters (see stats()) — a read shim over
-  /// the metrics registry, kept so pre-observability callers compile
-  /// unchanged.
-  struct IoStats {
-    std::uint64_t opens = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t local_misses = 0;   // decompressed from the local backend
-    std::uint64_t remote_fetches = 0;  // fetched from a peer (daemon or direct)
-    std::uint64_t direct_fetches = 0;  // subset of remote_fetches: PeerDirectory
-    std::uint64_t bytes_read = 0;
-    std::uint64_t bytes_written = 0;
-    std::uint64_t remote_bytes = 0;  // compressed bytes over the wire
-    std::uint64_t failovers = 0;     // fetches served by a non-owner replica
   };
 
   FanStoreFs(mpi::Comm comm, MetadataStore* meta, CompressedBackend* backend,
@@ -170,14 +148,15 @@ class FanStoreFs final : public posixfs::Vfs {
   /// to open().
   bool prefetch_compressed(std::string_view path);
 
-  /// Fully warms `path`: open + (for lazy chunked entries) decode every
-  /// chunk + close, leaving the entry cached and unpinned. Never throws;
-  /// returns false when the file could not be warmed. The prefetcher's
-  /// warm stage uses this so lazy mode still prefetches whole files.
+  /// Fully warms `path`: open + (for chunked entries) decode every chunk
+  /// in parallel + close, leaving the entry cached and unpinned. Never
+  /// throws; returns false when the file could not be warmed. The
+  /// prefetcher's warm stage uses this to prefetch whole files.
   bool warm_file(std::string_view path);
 
-  /// Decodes every remaining chunk of an open fd's entry (no-op when
-  /// already fully materialized). Returns 0 or -errno.
+  /// Decodes every remaining chunk of an open fd's entry in parallel
+  /// (no-op when already fully materialized). Returns 0, or -EIO when a
+  /// chunk or the whole-file crc is corrupt, or -EBADF.
   int materialize(int fd);
 
   /// Installs (nullptr clears) a clairvoyant eviction policy on the
@@ -188,7 +167,6 @@ class FanStoreFs final : public posixfs::Vfs {
     cache_.set_eviction_policy(plan);
   }
 
-  IoStats stats() const;
   /// The plain-RAM tier (tier 0) — kept as the classic accessor so
   /// pre-tiering callers compile unchanged.
   PlainCache& cache() { return cache_.plain(); }
@@ -232,7 +210,6 @@ class FanStoreFs final : public posixfs::Vfs {
     obs::Counter& cache_hits;  // alias of "cache.hits"
     obs::Counter& local_misses;
     obs::Counter& remote_fetches;
-    obs::Counter& direct_fetches;
     obs::Counter& bytes_read;
     obs::Counter& bytes_written;
     obs::Counter& remote_bytes;
@@ -268,8 +245,9 @@ class FanStoreFs final : public posixfs::Vfs {
 
   /// Loads `path` (Fig. 2), charging fetch costs. Non-chunked blobs are
   /// decompressed here (decompress cost charged); chunked blobs come back
-  /// as a lazy CachedFile with nothing decoded — materialize_entry() or a
-  /// per-range read decodes (and charges) later, exactly once per chunk.
+  /// as a lazy CachedFile with nothing decoded, checked against
+  /// `stat.crc` once complete — materialize_entry() or a per-range read
+  /// decodes (and charges) later, exactly once per chunk.
   /// The ColdResult carries the fetch source (peer vs local backend) for
   /// tier accounting, plus the flat compressed blob when the tiered cache
   /// wants it for write-through admission.
@@ -278,22 +256,17 @@ class FanStoreFs final : public posixfs::Vfs {
 
   /// Decodes every missing chunk of `file` with the configured decode
   /// pool, charges the parallel-makespan decompress cost for exactly the
-  /// newly decoded chunks, verifies the whole-file crc once complete, and
-  /// re-syncs the cache budget. Throws on corrupt data.
+  /// newly decoded chunks, and re-syncs the cache budget. Throws on a
+  /// corrupt chunk or when the entry failed its whole-file crc.
   void materialize_entry(const std::string& path, CachedFile& file);
 
-  /// Charges + counts `stats` chunks decoded at `threads`-way parallelism.
-  void charge_chunk_decode(const CachedFile& file,
-                           const CachedFile::DecodeStats& stats,
-                           std::size_t threads);
+  /// Charges + counts `stats` chunks decoded at `threads`-way parallelism
+  /// and re-syncs `path`'s cache budget (no-op when nothing decoded).
+  void account_decode(const std::string& path, const CachedFile& file,
+                      const CachedFile::DecodeStats& stats,
+                      std::size_t threads);
 
   std::size_t decode_threads() const;
-
-  /// True when a sharded metadata resolver is active (DESIGN.md §13); the
-  /// compatibility mode (rf >= nranks) and classic builds are both false.
-  bool sharded_meta() const {
-    return options_.meta_resolver != nullptr && options_.meta_resolver->sharded();
-  }
 
   /// Metadata lookup honoring the sharded resolver: local shard store
   /// first, then the path's remote shard owners. Remote entries are not
@@ -312,8 +285,7 @@ class FanStoreFs final : public posixfs::Vfs {
   std::optional<Blob> fetch_remote(const std::string& path,
                                    const format::FileStat& stat);
 
-  /// One fetch attempt against `rank`: direct PeerDirectory read when
-  /// registered, daemon round-trip otherwise. Fills `*out` on kOk.
+  /// One fetch attempt against `rank`'s daemon. Fills `*out` on kOk.
   FetchStatus fetch_from(int rank, const std::string& path,
                          const format::FileStat& stat, Blob* out);
 

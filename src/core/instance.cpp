@@ -19,7 +19,7 @@ Instance::Instance(mpi::Comm comm, Options options)
   }
   if (options_.fault != nullptr) {
     // Flaky-storage faults apply to every read of this rank's backend —
-    // local opens, daemon-served fetches, and peers' direct reads alike.
+    // local opens and daemon-served fetches alike.
     backend_ = std::make_unique<FaultInjectedBackend>(
         std::move(backend_), comm_.rank(), options_.fault);
     // Straggler scripts slow this rank's *view* of the hardware; the
@@ -34,10 +34,6 @@ Instance::Instance(mpi::Comm comm, Options options)
         options_.fault->storage_multiplier(comm_.rank()));
   }
   options_.fs.cost.nodes = comm_.size();
-  if (options_.peers != nullptr) {
-    options_.peers->add(comm_.rank(), backend_.get());
-    options_.fs.peers = options_.peers;
-  }
   // One registry per rank, shared by the fs (and its cache) and the
   // daemon, so a single snapshot tells the rank's whole I/O story.
   if (options_.fs.metrics == nullptr) {
@@ -182,9 +178,8 @@ void Instance::replicate_ring(int rounds) {
 void Instance::exchange_metadata() {
   // Sharded mode: each member pushes each shard only to its owners —
   // point-to-point, no collective, so spare (non-member) ranks need not
-  // participate. The compatibility mode (rf >= nranks) and classic builds
-  // take the identical allgather path below, byte for byte.
-  if (cluster_ != nullptr && cluster_->sharded()) {
+  // participate. Without a cluster node (rf = 0): one allgather.
+  if (cluster_ != nullptr) {
     cluster_->exchange_initial();
     return;
   }
@@ -196,37 +191,33 @@ void Instance::exchange_metadata() {
 }
 
 std::vector<std::string> Instance::dataset_paths() {
-  if (cluster_ != nullptr && cluster_->sharded()) {
+  if (cluster_ != nullptr) {
     return cluster_->enumerate_paths();
   }
   return meta_.all_paths();
 }
 
 std::string Instance::stats_report() const {
-  const auto io = fs_->stats();
-  const auto cache = fs_->cache().stats();
+  const obs::MetricsSnapshot m = fs_->metrics().snapshot();
+  auto u = [](std::uint64_t v) { return static_cast<unsigned long long>(v); };
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),
-      "rank %d: opens=%llu hits=%llu local=%llu remote=%llu (direct=%llu) "
-      "failover=%llu | "
+      "rank %d: opens=%llu hits=%llu local=%llu remote=%llu failover=%llu | "
       "read=%.1fMB wire=%.1fMB written=%.1fMB | cache %.1f/%.1fMB evict=%llu | "
       "backend %zu objs %.1fMB | daemon served=%llu meta_fwd=%llu",
-      comm_.rank(), static_cast<unsigned long long>(io.opens),
-      static_cast<unsigned long long>(io.cache_hits),
-      static_cast<unsigned long long>(io.local_misses),
-      static_cast<unsigned long long>(io.remote_fetches),
-      static_cast<unsigned long long>(io.direct_fetches),
-      static_cast<unsigned long long>(io.failovers),
-      static_cast<double>(io.bytes_read) / 1e6,
-      static_cast<double>(io.remote_bytes) / 1e6,
-      static_cast<double>(io.bytes_written) / 1e6,
+      comm_.rank(), u(m.counter("fs.opens")), u(m.counter("cache.hits")),
+      u(m.counter("fs.local_misses")), u(m.counter("fs.remote_fetches")),
+      u(m.counter("fs.failovers")),
+      static_cast<double>(m.counter("fs.bytes_read")) / 1e6,
+      static_cast<double>(m.counter("fs.remote_bytes")) / 1e6,
+      static_cast<double>(m.counter("fs.bytes_written")) / 1e6,
       static_cast<double>(fs_->cache().bytes_used()) / 1e6,
       static_cast<double>(fs_->cache().capacity()) / 1e6,
-      static_cast<unsigned long long>(cache.evictions), backend_->object_count(),
+      u(m.counter("cache.evictions")), backend_->object_count(),
       static_cast<double>(backend_->bytes_used()) / 1e6,
-      static_cast<unsigned long long>(daemon_->fetches_served()),
-      static_cast<unsigned long long>(daemon_->meta_forwards_received()));
+      u(m.counter("daemon.fetches_served")),
+      u(m.counter("daemon.meta_forwards")));
   std::string out = buf;
   if (fs_->tiers().tiers_enabled()) {
     char tier_buf[128];
@@ -267,9 +258,6 @@ void Instance::start_daemon() {
 }
 
 void Instance::stop() {
-  // Deregister from the peer table before tearing anything down so no
-  // other rank's direct fetch can race our backend's destruction.
-  if (options_.peers != nullptr) options_.peers->remove(comm_.rank());
   // The socket front door serves through fs_, so it must drain before the
   // MPI daemon (and everything below it) goes away.
   if (server_) {

@@ -33,11 +33,6 @@ class Instance {
     /// If set, use a disk backend rooted here on `local_fs`; RAM otherwise.
     posixfs::Vfs* local_fs = nullptr;
     std::string backend_root = ".fanstore";
-    /// Optional shared rank→backend table: when every Instance of a world
-    /// registers here, remote fetches between them skip the daemon
-    /// round-trip (FanStoreFs direct fast path). The directory must
-    /// outlive every Instance registered in it.
-    PeerDirectory* peers = nullptr;
     /// Optional fault injector (one per world, shared by every rank's
     /// Instance and by the mpi::World). Wires: daemon crash/hang scripts,
     /// backend read faults (the local backend is wrapped in a
@@ -54,10 +49,9 @@ class Instance {
     int serve_backlog = 64;
     /// Sharded metadata cluster (cluster/node.hpp, DESIGN.md §13).
     struct ClusterConfig {
-      /// 0 = classic full replication, no cluster node at all (the
-      /// pre-cluster behavior). >= nranks = a cluster node exists but runs
-      /// the byte-identical allgather compatibility mode. Anything in
-      /// between shards the namespace with this many owners per shard.
+      /// 0 = classic full replication: no cluster node, one allgather.
+      /// Anything positive shards the namespace with this many owners per
+      /// shard (>= nranks: every rank owns every shard).
       int replication_factor = 0;
       int vnodes = 32;
       std::uint32_t nshards = 64;
@@ -102,8 +96,8 @@ class Instance {
   void replicate_ring(int rounds = 1);
 
   /// Collective among bootstrap members: allgather local metadata into the
-  /// global view (classic / compatibility mode), or the sharded
-  /// point-to-point push exchange when the cluster shards the namespace.
+  /// global view (classic, no cluster), or the sharded point-to-point push
+  /// exchange when a cluster node shards the namespace.
   void exchange_metadata();
 
   /// Every dataset path this rank can enumerate: the sharded listing union

@@ -9,8 +9,7 @@
 //
 // Entries carry a (version, writer) pair with a deterministic
 // last-writer-wins merge so replicas converge without owner forwarding;
-// the classic insert()/serialize() surface is preserved byte for byte for
-// the replication_factor == nranks compatibility mode.
+// the classic insert()/serialize() surface serves the rf = 0 allgather.
 #pragma once
 
 #include <optional>

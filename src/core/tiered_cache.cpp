@@ -261,7 +261,7 @@ std::shared_ptr<CachedFile> TieredCache::rebuild(
     // like a fresh cold load, which is the whole point of keeping tier-1
     // entries in container form.
     return std::make_shared<CachedFile>(std::move(payload), compressor,
-                                        original_size);
+                                        original_size, plain_crc);
   }
   const auto* codec = compress::Registry::instance().by_id(compressor);
   if (codec == nullptr) {
@@ -290,6 +290,7 @@ void TieredCache::demote(const std::string& path,
     e.compressor = file->container_id();
     e.payload = file->compressed_bytes();
     e.original_size = file->size();
+    e.plain_crc = file->plain_crc();
     if (insert_compressed(path, std::move(e))) {
       comp_demotes_->inc();
       return;
@@ -298,8 +299,8 @@ void TieredCache::demote(const std::string& path,
   }
   if (tier2_on_) {
     if (file->is_chunked()) {
-      if (insert_spill(path, file->container_id(), file->size(), 0,
-                       as_view(file->compressed_bytes()))) {
+      if (insert_spill(path, file->container_id(), file->size(),
+                       file->plain_crc(), as_view(file->compressed_bytes()))) {
         spill_demotes_->inc();
       }
       return;

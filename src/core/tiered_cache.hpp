@@ -8,7 +8,7 @@
 //   tier 2  SSD spill        crc-framed spill records on a local Vfs,
 //                            charged against an ssd StorageModel
 //   tier 3  peer RAM         the owner rank's backend via the cold loader
-//                            (PeerDirectory direct read or daemon fetch)
+//                            (daemon fetch)
 //   cold    local backend    the rank's own compressed partition
 //
 // Eviction from tier N is *demotion* into tier N+1: the PlainCache demotion
@@ -216,8 +216,8 @@ class TieredCache {
                     ByteView payload);
 
   /// Rebuilds a usable entry from a tier payload: chunked ids come back
-  /// lazy, flat codecs decompress (cost charged) and crc-check, id 0 is
-  /// plain bytes.
+  /// lazy (crc-checked once complete), flat codecs decompress (cost
+  /// charged) and crc-check, id 0 is plain bytes.
   std::shared_ptr<CachedFile> rebuild(compress::CompressorId compressor,
                                       Bytes payload, std::size_t original_size,
                                       std::uint32_t plain_crc);

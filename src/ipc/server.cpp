@@ -217,6 +217,9 @@ void Server::accept_ready(std::size_t listener_idx) {
       return;
     }
     accepted_->inc();
+    // Counted from accept(2) to close(2): a zero gauge means no server-side
+    // connection fd is open, even one still waiting for its shard.
+    conns_open_->add(1);
     const int one = 1;
     // No-op (ENOTSUP/ENOPROTOOPT) on UDS connections.
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -235,7 +238,6 @@ void Server::register_conn(Shard* shard, int fd) {
   conn->last_active_us = now_us();
   conn->interest = EPOLLIN | EPOLLRDHUP;
   shard->conns[fd] = conn;
-  conns_open_->add(1);
   shard->loop.add_fd(fd, conn->interest, [this, conn](std::uint32_t events) {
     conn_ready(conn, events);
   });

@@ -78,6 +78,7 @@ class Server {
   const std::vector<Endpoint>& endpoints() const { return bound_; }
 
   std::uint64_t requests_served() const { return requests_->value(); }
+  /// Connection fds the server holds open, from accept(2) to close(2).
   std::int64_t connections_open() const { return conns_open_->value(); }
 
  private:

@@ -209,7 +209,7 @@ TEST(ChaosTest, CorruptedRepliesAreRejectedAndServedByReplica) {
           EXPECT_EQ(m.counter("retry.crc_rejects").value(),
                     static_cast<std::uint64_t>(kAttempts));
           EXPECT_EQ(m.counter("retry.exhausted").value(), 1u);
-          EXPECT_EQ(inst.fs().stats().failovers, 1u);
+          EXPECT_EQ(inst.metrics().counter("fs.failovers").value(), 1u);
         }
         comm.barrier();
         inst.stop();
@@ -258,7 +258,7 @@ TEST(ChaosTest, OwnerDaemonDiesMidEpochFailoverCoversIt) {
             ASSERT_TRUE(got.has_value()) << i;
             EXPECT_EQ(*got, contents[static_cast<std::size_t>(i)]) << i;
           }
-          EXPECT_GE(inst.fs().stats().failovers, 1u);
+          EXPECT_GE(inst.metrics().counter("fs.failovers").value(), 1u);
           EXPECT_GE(inst.metrics().counter("retry.timeouts").value(), 1u);
         }
         comm.barrier();

@@ -1,8 +1,9 @@
 // Chunked container tests: id scheme, registry synthesis, frame round-trips
 // for every registered inner codec, partial (range) decode through
-// CachedFile, and the end-to-end prepare -> partition -> FanStoreFs path in
-// both eager and lazy modes (with the "chunked.*" metrics asserting that a
-// small pread of a large object decodes at most the overlapping chunks).
+// CachedFile, and the end-to-end prepare -> partition -> FanStoreFs path
+// (with the "chunked.*" metrics asserting that a small pread of a large
+// object decodes at most the overlapping chunks, and that materialize()
+// decodes in parallel).
 #include <gtest/gtest.h>
 
 #include "compress/chunked.hpp"
@@ -177,6 +178,38 @@ TEST(CachedFileTest, PartialReadDecodesOnlyOverlappingChunks) {
   EXPECT_GE(file.charge_bytes(), original.size());
 }
 
+TEST(CachedFileTest, WholeFileCrcMismatchPoisonsEntry) {
+  const Bytes original = testdata::runs_and_noise(100000, 7);  // 7 x 16k
+  compress::CompressorId id = 0;
+  Bytes packed = pack_chunked(original, "chunked-16k+lz4", &id);
+  CachedFile file(std::move(packed), id, original.size(),
+                  crc32(as_view(original)) ^ 1u);
+  EXPECT_EQ(file.plain_crc(), crc32(as_view(original)) ^ 1u);
+
+  // Ranges short of the last chunk are served: nothing is known yet.
+  Bytes head(1000);
+  file.read_range(0, MutByteView(head.data(), head.size()), nullptr);
+  EXPECT_FALSE(file.corrupt());
+
+  // Landing the last chunk runs the check; the entry is poisoned for good.
+  CachedFile::DecodeStats ds;
+  file.materialize_all(4, &ds);
+  EXPECT_EQ(ds.chunks_decoded, 6u);
+  EXPECT_TRUE(file.fully_materialized());
+  EXPECT_TRUE(file.corrupt());
+  EXPECT_THROW(file.read_range(0, MutByteView(head.data(), head.size()), nullptr),
+               compress::CorruptDataError);
+
+  // The right crc passes.
+  Bytes repacked = pack_chunked(original, "chunked-16k+lz4", &id);
+  CachedFile good(std::move(repacked), id, original.size(),
+                  crc32(as_view(original)));
+  Bytes all(original.size());
+  good.read_range(0, MutByteView(all.data(), all.size()), nullptr);
+  EXPECT_FALSE(good.corrupt());
+  EXPECT_EQ(all, original);
+}
+
 TEST(CachedFileTest, NonChunkedIsFullyMaterializedAtConstruction) {
   const Bytes original = testdata::text_like(5000, 1);
   CachedFile file{Bytes(original)};
@@ -203,7 +236,7 @@ TEST(CachedFileTest, RejectsFrameDisagreeingWithRecordedId) {
 }
 
 // End-to-end: prepare a dataset with --chunk-size, serve it through a
-// one-rank FanStore, and verify both the eager and lazy read paths.
+// one-rank FanStore, and verify the range-read and materialize paths.
 class ChunkedEndToEndTest : public ::testing::Test {
  protected:
   void prepare(std::size_t chunk_size) {
@@ -233,12 +266,10 @@ class ChunkedEndToEndTest : public ::testing::Test {
   Bytes big_, small_;
 };
 
-TEST_F(ChunkedEndToEndTest, EagerOpenRoundTripsAndDecodesInParallel) {
+TEST_F(ChunkedEndToEndTest, OpenReadRoundTrips) {
   prepare(std::size_t{64} << 10);
   mpi::run_world(1, [&](mpi::Comm& comm) {
-    Instance::Options opt;
-    opt.fs.decode_threads = 4;
-    Instance inst(comm, opt);
+    Instance inst(comm, {});
     load_into(inst);
 
     const auto got_big = posixfs::read_file(inst.fs(), "ds/big.bin");
@@ -252,18 +283,41 @@ TEST_F(ChunkedEndToEndTest, EagerOpenRoundTripsAndDecodesInParallel) {
     EXPECT_EQ(snap.counter("chunked.chunks_decoded"), 17u);  // 16 + 1
     EXPECT_EQ(snap.counter("chunked.bytes_decoded"),
               big_.size() + small_.size());
+    EXPECT_EQ(snap.counter("chunked.partial_reads"), 0u);
+  });
+}
+
+TEST_F(ChunkedEndToEndTest, MaterializeDecodesInParallel) {
+  prepare(std::size_t{64} << 10);
+  mpi::run_world(1, [&](mpi::Comm& comm) {
+    Instance::Options opt;
+    opt.fs.decode_threads = 4;
+    Instance inst(comm, opt);
+    load_into(inst);
+
+    auto& fs = inst.fs();
+    const int fd = fs.open("ds/big.bin", posixfs::OpenMode::kRead);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(fs.materialize(fd), 0);
+    const auto snap = inst.metrics().snapshot();
+    EXPECT_EQ(snap.counter("chunked.chunks_decoded"), 16u);
+    EXPECT_EQ(snap.counter("chunked.bytes_decoded"), big_.size());
     // The 16-chunk file went through the multi-threaded decode path.
     EXPECT_EQ(snap.counter("chunked.parallel_decodes"), 1u);
-    EXPECT_EQ(snap.counter("chunked.partial_reads"), 0u);
+
+    Bytes all(big_.size());
+    ASSERT_EQ(fs.read(fd, MutByteView(all.data(), all.size())),
+              static_cast<std::int64_t>(all.size()));
+    EXPECT_EQ(all, big_);
+    fs.close(fd);
+    EXPECT_EQ(inst.metrics().snapshot().counter("chunked.chunks_decoded"), 16u);
   });
 }
 
 TEST_F(ChunkedEndToEndTest, LazyPreadDecodesAtMostTwoChunks) {
   prepare(std::size_t{64} << 10);
   mpi::run_world(1, [&](mpi::Comm& comm) {
-    Instance::Options opt;
-    opt.fs.lazy_chunked_open = true;
-    Instance inst(comm, opt);
+    Instance inst(comm, {});
     load_into(inst);
 
     auto& fs = inst.fs();
@@ -305,7 +359,6 @@ TEST_F(ChunkedEndToEndTest, WarmFileMaterializesLazyEntries) {
   prepare(std::size_t{64} << 10);
   mpi::run_world(1, [&](mpi::Comm& comm) {
     Instance::Options opt;
-    opt.fs.lazy_chunked_open = true;
     opt.fs.decode_threads = 2;
     Instance inst(comm, opt);
     load_into(inst);
@@ -319,6 +372,37 @@ TEST_F(ChunkedEndToEndTest, WarmFileMaterializesLazyEntries) {
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(*got, big_);
     EXPECT_EQ(inst.metrics().snapshot().counter("chunked.chunks_decoded"), 16u);
+  });
+}
+
+TEST_F(ChunkedEndToEndTest, WholeFileCrcMismatchFailsEveryOpen) {
+  // The recorded crc disagrees with the bytes (every chunk's own crc is
+  // fine): once the last chunk lands the whole-file check fails, and the
+  // entry must never be served afterwards — not by a re-open of the cached
+  // entry, not by a warm, not by a range read.
+  prepare(std::size_t{64} << 10);
+  mpi::run_world(1, [&](mpi::Comm& comm) {
+    Instance inst(comm, {});
+    load_into(inst);
+    auto stat = inst.metadata().lookup("ds/big.bin");
+    ASSERT_TRUE(stat.has_value());
+    stat->crc ^= 1u;
+    inst.metadata().insert("ds/big.bin", *stat);
+
+    auto& fs = inst.fs();
+    for (int round = 0; round < 3; ++round) {
+      EXPECT_FALSE(posixfs::read_file(fs, "ds/big.bin").has_value())
+          << "round " << round;
+    }
+    EXPECT_FALSE(fs.warm_file("ds/big.bin"));
+    const int fd = fs.open("ds/big.bin", posixfs::OpenMode::kRead);
+    if (fd >= 0) {
+      Bytes window(4096);
+      EXPECT_LT(fs.pread(fd, MutByteView(window.data(), window.size()), 0), 0);
+      fs.close(fd);
+    }
+    // The untouched neighbour still serves.
+    EXPECT_EQ(posixfs::read_file(fs, "ds/small.txt"), small_);
   });
 }
 

@@ -130,9 +130,9 @@ TEST(FanStoreIntegrationTest, LocalAndRemoteReads) {
     EXPECT_EQ(*got0, d0);
     EXPECT_EQ(*got1, d1);
 
-    const auto stats = fs.stats();
-    EXPECT_EQ(stats.remote_fetches, 1u);  // exactly one file was remote
-    EXPECT_EQ(stats.local_misses, 1u);
+    const auto stats = fs.metrics().snapshot();
+    EXPECT_EQ(stats.counter("fs.remote_fetches"), 1u);  // one file was remote
+    EXPECT_EQ(stats.counter("fs.local_misses"), 1u);
 
     comm.barrier();  // both done before daemons stop
     inst.stop();
@@ -165,9 +165,9 @@ TEST(FanStoreIntegrationTest, MetadataFullyReplicatedAfterExchange) {
 }
 
 TEST(FanStoreIntegrationTest, RfEqualsNranksMatchesClassicAllgather) {
-  // replication_factor == nranks is the compatibility mode (DESIGN.md §13):
-  // every rank owns every shard, so the sharded push exchange must converge
-  // to the same fully replicated metadata as the classic allgather —
+  // replication_factor == nranks (DESIGN.md §13): every rank owns every
+  // shard, so the sharded push exchange must converge to the same fully
+  // replicated metadata as the classic allgather (rf = 0) —
   // byte-identical canonical (sorted per-shard) serialization and the
   // identical namespace on every rank. serialize() itself iterates the
   // hash map in insertion order, so the canonical form is the concatenation
@@ -237,8 +237,8 @@ TEST(FanStoreIntegrationTest, CacheHitOnSecondOpen) {
     inst.exchange_metadata();
     (void)posixfs::read_file(inst.fs(), "f");
     (void)posixfs::read_file(inst.fs(), "f");
-    EXPECT_EQ(inst.fs().stats().cache_hits, 1u);
-    EXPECT_EQ(inst.fs().stats().local_misses, 1u);
+    EXPECT_EQ(inst.metrics().counter("cache.hits").value(), 1u);
+    EXPECT_EQ(inst.metrics().counter("fs.local_misses").value(), 1u);
   });
 }
 
@@ -320,44 +320,20 @@ TEST(FanStoreIntegrationTest, NeighbourReadRequiresRemoteFetch) {
     inst.exchange_metadata();
     inst.start_daemon();
     comm.barrier();
-    // Neighbour's file requires a remote fetch (no replication here).
+    // Neighbour's file requires a remote fetch (no replication here),
+    // served by the neighbour's daemon — the only fetch path.
     const int neighbour = (comm.rank() + 1) % 4;
-    (void)posixfs::read_file(inst.fs(), "p/r" + std::to_string(neighbour));
-    EXPECT_EQ(inst.fs().stats().remote_fetches, 1u);
-    comm.barrier();
-    inst.stop();
-  });
-}
-
-TEST(FanStoreIntegrationTest, PeerDirectoryServesFetchesWithoutDaemon) {
-  // With a shared PeerDirectory, a remote fetch reads the owner's backend
-  // directly — no request encode, reply copy, or daemon round-trip. The
-  // daemons are never even started: every byte still arrives.
-  PeerDirectory peers;
-  mpi::run_world(2, [&](mpi::Comm& comm) {
-    Instance::Options opt;
-    opt.peers = &peers;
-    Instance inst(comm, opt);
-    const Bytes data = testdata::text_like(4000, static_cast<std::uint64_t>(comm.rank()));
-    inst.load_partition_blob(
-        as_view(make_partition({{"p/r" + std::to_string(comm.rank()), data}}, "lz4")),
-        static_cast<std::uint32_t>(comm.rank()));
-    inst.exchange_metadata();
-    comm.barrier();
-
-    const int neighbour = (comm.rank() + 1) % 2;
-    const auto got = posixfs::read_file(inst.fs(), "p/r" + std::to_string(neighbour));
+    const auto got =
+        posixfs::read_file(inst.fs(), "p/r" + std::to_string(neighbour));
     ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->size(), 4000u);
-    const auto stats = inst.fs().stats();
-    EXPECT_EQ(stats.remote_fetches, 1u);
-    EXPECT_EQ(stats.direct_fetches, 1u);  // served off the peer table
-    EXPECT_GT(stats.remote_bytes, 0u);    // wire cost still accounted
-    EXPECT_EQ(inst.daemon().fetches_served(), 0u);
-
-    comm.barrier();  // both reads done before either backend goes away
-    inst.stop();
+    EXPECT_EQ(got->size(), 3000u);
     comm.barrier();
+    inst.stop();  // joins the daemon: its counters are final
+    const auto stats = inst.metrics().snapshot();
+    EXPECT_EQ(stats.counter("fs.remote_fetches"), 1u);
+    EXPECT_GT(stats.counter("fs.remote_bytes"), 0u);  // wire cost accounted
+    // This rank's daemon served exactly its predecessor's one fetch.
+    EXPECT_EQ(stats.counter("daemon.fetches_served"), 1u);
   });
 }
 
@@ -397,7 +373,7 @@ TEST(FanStoreIntegrationTest, FullSharedFsFlowWithRingReplication) {
     }
     // 16 files / 4 partitions: own (4) + predecessor's replicated (4) are
     // local; the other 8 are remote fetches.
-    EXPECT_EQ(inst.fs().stats().remote_fetches, 8u);
+    EXPECT_EQ(inst.metrics().counter("fs.remote_fetches").value(), 8u);
     comm.barrier();
     inst.stop();
   });
@@ -500,7 +476,6 @@ TEST(FanStoreIntegrationTest, ChunkedDecodeChargedOncePerChunk) {
     Instance::Options opt;
     opt.fs.cost.enabled = true;
     opt.fs.clock = &clock;
-    opt.fs.lazy_chunked_open = true;
     opt.fs.decode_threads = 4;
     opt.fs.cost.read_path.per_op_s = 0;
     opt.fs.cost.read_path.metadata_op_s = 0;
@@ -518,7 +493,7 @@ TEST(FanStoreIntegrationTest, ChunkedDecodeChargedOncePerChunk) {
     auto& fs = inst.fs();
     const int fd = fs.open("big", posixfs::OpenMode::kRead);
     ASSERT_GE(fd, 0);
-    EXPECT_DOUBLE_EQ(clock.now_sec(), 0.0);  // lazy open decodes nothing
+    EXPECT_DOUBLE_EQ(clock.now_sec(), 0.0);  // open decodes nothing
 
     // A window straddling one boundary: two chunks, decoded serially.
     Bytes buf(kChunk);
@@ -691,7 +666,7 @@ TEST(FanStoreOptionsTest, ZeroTimeoutMeansWaitForever) {
       ASSERT_TRUE(got.has_value());
       EXPECT_EQ(*got, data);
       EXPECT_EQ(inst.metrics().counter("retry.timeouts").value(), 0u);
-      EXPECT_EQ(inst.fs().stats().failovers, 0u);
+      EXPECT_EQ(inst.metrics().counter("fs.failovers").value(), 0u);
     }
     comm.barrier();
     inst.stop();

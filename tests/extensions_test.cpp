@@ -110,11 +110,12 @@ TEST(PrefetcherTest, WarmsTheCache) {
     EXPECT_EQ(prefetcher.failures(), 0u);
 
     // Every training-thread open is now a cache hit.
-    const auto before = inst.fs().stats();
+    const auto before = inst.metrics().snapshot();
     for (const auto& p : paths) (void)posixfs::read_file(inst.fs(), p);
-    const auto after = inst.fs().stats();
-    EXPECT_EQ(after.cache_hits - before.cache_hits, 16u);
-    EXPECT_EQ(after.local_misses, before.local_misses);
+    const auto after = inst.metrics().snapshot();
+    EXPECT_EQ(after.counter("cache.hits") - before.counter("cache.hits"), 16u);
+    EXPECT_EQ(after.counter("fs.local_misses"),
+              before.counter("fs.local_misses"));
   });
 }
 
@@ -180,17 +181,19 @@ TEST(PrefetcherTest, PipelinedRemoteWarmupStagesThenDecompresses) {
       prefetcher.wait();
       EXPECT_EQ(prefetcher.files_warmed(), 8u);
       EXPECT_EQ(prefetcher.failures(), 0u);
-      const auto mid = inst.fs().stats();
-      EXPECT_EQ(mid.remote_fetches, 8u);  // one wire transfer per file
+      const auto mid = inst.metrics().snapshot();
+      EXPECT_EQ(mid.counter("fs.remote_fetches"), 8u);  // one wire per file
       // The compressed bytes were staged locally by the fetch stage.
       EXPECT_EQ(inst.backend().object_count(), 8u);
       for (const auto& p : paths) {
         (void)posixfs::read_file(inst.fs(), p);
         EXPECT_EQ(inst.fs().cache().open_count(p), 0) << p;
       }
-      const auto after = inst.fs().stats();
-      EXPECT_EQ(after.cache_hits - mid.cache_hits, 8u);    // all hits
-      EXPECT_EQ(after.remote_fetches, mid.remote_fetches);  // no refetch
+      const auto after = inst.metrics().snapshot();
+      EXPECT_EQ(after.counter("cache.hits") - mid.counter("cache.hits"),
+                8u);  // all hits
+      EXPECT_EQ(after.counter("fs.remote_fetches"),
+                mid.counter("fs.remote_fetches"));  // no refetch
     }
     comm.barrier();
     inst.stop();

@@ -65,7 +65,7 @@ TEST(FailoverTest, ReplicaServesWhenOwnerDaemonDies) {
       const auto got = posixfs::read_file(inst.fs(), "f");
       ASSERT_TRUE(got.has_value());
       EXPECT_EQ(*got, data);
-      EXPECT_EQ(inst.fs().stats().failovers, 1u);
+      EXPECT_EQ(inst.metrics().counter("fs.failovers").value(), 1u);
     }
     comm.barrier();
     inst.stop();
@@ -129,7 +129,7 @@ TEST(FailoverTest, RingReplicationPlusFailoverEndToEnd) {
         ASSERT_TRUE(got.has_value()) << i;
         EXPECT_EQ(*got, testdata::runs_and_noise(4000, i)) << i;
       }
-      EXPECT_GE(inst.fs().stats().failovers, 1u);
+      EXPECT_GE(inst.metrics().counter("fs.failovers").value(), 1u);
     }
     comm.barrier();
     inst.stop();
@@ -175,10 +175,10 @@ TEST_P(FailoverMatrixTest, ReplicaReachableIffHopsCoverDistance) {
         const auto got = posixfs::read_file(inst.fs(), "m");
         ASSERT_TRUE(got.has_value());
         EXPECT_EQ(*got, data);
-        EXPECT_EQ(inst.fs().stats().failovers, 1u);
+        EXPECT_EQ(inst.metrics().counter("fs.failovers").value(), 1u);
       } else {
         EXPECT_EQ(inst.fs().open("m", posixfs::OpenMode::kRead), -EIO);
-        EXPECT_EQ(inst.fs().stats().failovers, 0u);
+        EXPECT_EQ(inst.metrics().counter("fs.failovers").value(), 0u);
       }
     }
     comm.barrier();

@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -270,7 +271,26 @@ TEST_P(IpcConformanceTest, SilentClientNeverBlocksStop) {
 }
 
 TEST_P(IpcConformanceTest, NoFdLeakAcrossHostileChurn) {
-  Harness h(GetParam());
+  obs::MetricsRegistry metrics;
+  ServerOptions options;
+  options.metrics = &metrics;
+  Harness h(GetParam(), options);
+  // Event servers report when every connection is reaped: `accepted`
+  // counts accept(2) calls and the conns_open gauge spans accept(2) to
+  // close(2), so both settling means no server-side connection fd is left
+  // and the fd comparison below is exact. The deadline only bounds a hang.
+  const bool event_server = GetParam() != Flavor::kLegacy;
+  auto wait_all_closed = [&](std::uint64_t accepted) {
+    const auto deadline =
+        std::chrono::steady_clock::now() +
+        std::chrono::milliseconds(scale_ms(10000));
+    while (metrics.counter("ipc.accepted").value() != accepted ||
+           metrics.gauge("ipc.conns_open").value() != 0) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  };
   {
     // Warm up lazily-created fds (epoll/eventfd already exist; this covers
     // any per-connection lazy state) before taking the baseline.
@@ -278,7 +298,11 @@ TEST_P(IpcConformanceTest, NoFdLeakAcrossHostileChurn) {
     ASSERT_GE(fd, 0);
     ::close(fd);
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(scale_ms(50)));
+  if (event_server) {
+    ASSERT_TRUE(wait_all_closed(1));
+  } else {
+    std::this_thread::sleep_for(std::chrono::milliseconds(scale_ms(50)));
+  }
   const std::size_t before = open_fd_count();
   for (int i = 0; i < 25; ++i) {
     const int fd = raw_connect(h.spec());
@@ -300,9 +324,14 @@ TEST_P(IpcConformanceTest, NoFdLeakAcrossHostileChurn) {
     }
     ::close(fd);
   }
-  // Give the server time to reap every closed connection.
-  for (int spin = 0; spin < 100 && open_fd_count() > before; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(scale_ms(10)));
+  if (event_server) {
+    ASSERT_TRUE(wait_all_closed(26));  // warm-up + 25 churned connections
+  } else {
+    // The legacy server reports no connection count: give it up to 1 s to
+    // reap every closed connection.
+    for (int spin = 0; spin < 100 && open_fd_count() > before; ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(scale_ms(10)));
+    }
   }
   EXPECT_LE(open_fd_count(), before);
   h.expect_still_serving();

@@ -194,7 +194,7 @@ std::uint64_t trace_hits(const std::vector<std::string>& seq,
     ap.record_access(p);
   }
   if (belady) cache.set_eviction_policy(nullptr);
-  return cache.stats().hits;
+  return cache.metrics().counter("cache.hits").value();
 }
 
 TEST(BeladyEvictionTest, HandComputedOptimalOnClassicSequence) {
@@ -247,8 +247,8 @@ TEST(BeladyEvictionTest, PlanEvictionCounterTracksPolicyEvictions) {
     ap.record_access(p);
   }
   EXPECT_EQ(metrics.snapshot().counter("plan.evictions"),
-            cache.stats().evictions);
-  EXPECT_GT(cache.stats().evictions, 0u);
+            cache.metrics().counter("cache.evictions").value());
+  EXPECT_GT(cache.metrics().counter("cache.evictions").value(), 0u);
   cache.set_eviction_policy(nullptr);
 }
 

@@ -4,7 +4,8 @@
 #   2. chaos: the fault-injection suite (`ctest -L chaos`) over 10 fixed
 #      FANSTORE_FAULT_SEED values, plus the membership-churn suite
 #      (`ctest -L churn`) over 5 fixed FANSTORE_CHURN_SEED values; both
-#      repeated under TSan in pass 4
+#      repeated under TSan in pass 4; then the bench smokes, including a
+#      2 s perfbench run of each BENCHMARK.json workload
 #   3. ASan/UBSan: FANSTORE_SANITIZE=address;undefined configure + ctest
 #   4. TSan: FANSTORE_SANITIZE=thread + FANSTORE_DEBUG_LOCKORDER=ON + ctest
 #      + the chaos seed sweep again under TSan
@@ -147,6 +148,16 @@ build/bench/bench_tiered --quick --json /tmp/BENCH_tiered_quick.json
 # the committed BENCH_cluster.json at the repo root.
 echo "==== [bench] bench_cluster --quick ===="
 build/bench/bench_cluster --quick --json "$repo_root/BENCH_cluster.json"
+
+# Repository-benchmark smoke (BENCHMARK.json): perfbench builds the FanStore
+# libraries from src/ in its own tree (.bench_build/), which neither tier-1
+# nor the benches above compile, so a src/ API change that breaks the
+# benchmark fails here. run.py exits non-zero on a build failure, a failed
+# byte verification, or a failed counter cross-check.
+for workload in train_hot train_cold serve_ipc; do
+  echo "==== [bench] perfbench $workload (2 s smoke) ===="
+  python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 --trace 0
+done
 
 if [ "${1:-}" = "--tier1-only" ]; then
   echo "ci.sh: tier-1 pass complete (sanitizer matrix skipped)"
