@@ -16,9 +16,19 @@
 // enforced, it is a pure protocol property. The build wall-time gate
 // (sharded <= classic at 64 ranks) is enforced only on hosts with >= 8
 // hardware threads; below that the 64-thread world measures the scheduler,
-// not the exchange. Emits BENCH_cluster.json; tools/ci.sh runs `--quick`.
+// not the exchange.
+//
+// A second section measures the in-process wire itself: a 2-rank ping-pong
+// of 16 KiB messages with 0, 2 and 8 idle receivers blocked on each
+// mailbox (as a rank's Daemon and ClusterNode threads are), reporting the
+// round-trip p50 and p99. A delivered message must wake only the receiver
+// it matches, so idle receivers cost nothing: the 2-waiter p50 must stay
+// within 1.25x of the 0-waiter p50 (enforced on hosts with >= 2 hardware
+// threads, where the two ranks can run in parallel). Emits
+// BENCH_cluster.json; tools/ci.sh runs `--quick`.
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,10 +60,11 @@ std::vector<std::string> namespace_paths(int ranks, int files_per_rank) {
   return paths;
 }
 
-double p99_us(std::vector<double>& lat) {
-  if (lat.empty()) return 0;
-  std::sort(lat.begin(), lat.end());
-  return lat[lat.size() * 99 / 100];
+// The value at rank size * pct / 100 of the sorted samples.
+double percentile(std::vector<double> v, int pct) {
+  if (v.empty()) return 0;
+  std::sort(v.begin(), v.end());
+  return v[v.size() * static_cast<std::size_t>(pct) / 100];
 }
 
 // One real in-process world: build the metadata view (classic allgather
@@ -119,12 +130,71 @@ Cell run_real(int ranks, int files_per_rank, int rf, int lookups) {
         std::fprintf(stderr, "bench_cluster: %zu lookup misses at %d ranks\n",
                      misses, ranks);
       }
-      cell.lookup_p99_us = p99_us(lat);
+      cell.lookup_p99_us = percentile(std::move(lat), 99);
     }
     comm.barrier();
     inst.stop();
   });
   return cell;
+}
+
+struct PingPong {
+  int idle_waiters = 0;
+  double p50_us = 0;
+  double p99_us = 0;
+};
+
+// Round-trip times (us) of `trips` ping-pongs of `bytes` between two ranks,
+// after `warmup` unrecorded ones. `idle` extra threads per rank sit in
+// recv_if on a tag nobody sends until the end.
+std::vector<double> pingpong_rtts(int idle, int warmup, int trips, std::size_t bytes) {
+  constexpr int kPing = 1, kPong = 2, kIdle = 3;
+  std::vector<double> rtt;
+  rtt.reserve(static_cast<std::size_t>(trips));
+  mpi::run_world(2, [&](mpi::Comm& comm) {
+    const std::function<bool(const mpi::Message&)> is_idle =
+        [](const mpi::Message& m) { return m.tag == kIdle; };
+    std::vector<std::thread> idlers;
+    for (int i = 0; i < idle; ++i) {
+      idlers.emplace_back([&] { (void)comm.recv_if(is_idle); });
+    }
+    comm.barrier();
+    const int peer = 1 - comm.rank();
+    Bytes payload(bytes, 0x5a);
+    for (int i = 0; i < warmup + trips; ++i) {
+      if (comm.rank() == 0) {
+        WallTimer t;
+        comm.send(peer, kPing, payload);
+        payload = comm.recv(peer, kPong).payload;
+        if (i >= warmup) rtt.push_back(t.elapsed_us());
+      } else {
+        comm.send(peer, kPong, comm.recv(peer, kPing).payload);
+      }
+    }
+    for (int i = 0; i < idle; ++i) comm.send(comm.rank(), kIdle, {});
+    for (auto& t : idlers) t.join();
+  });
+  return rtt;
+}
+
+// Each waiter count runs `reps` times, interleaved with the others so host
+// load drifts across all of them alike; a cell reports the median over
+// reps of each run's p50 and p99.
+std::vector<PingPong> run_pingpong(const std::vector<int>& waiters, int reps,
+                                   int trips, std::size_t bytes) {
+  std::vector<std::vector<double>> p50s(waiters.size()), p99s(waiters.size());
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::size_t w = 0; w < waiters.size(); ++w) {
+      const auto rtt = pingpong_rtts(waiters[w], trips / 10, trips, bytes);
+      p50s[w].push_back(percentile(rtt, 50));
+      p99s[w].push_back(percentile(rtt, 99));
+    }
+  }
+  std::vector<PingPong> cells;
+  for (std::size_t w = 0; w < waiters.size(); ++w) {
+    cells.push_back({waiters[w], percentile(p50s[w], 50), percentile(p99s[w], 50)});
+  }
+  return cells;
 }
 
 // 512-rank cells on the virtual clock: charge the omnipath model with the
@@ -167,6 +237,17 @@ std::string json_cell(const Cell& c) {
          ", \"bytes_per_rank\": " + bench::fmt("%.0f", c.bytes_per_rank) +
          ", \"lookup_p99_us\": " + bench::fmt("%.2f", c.lookup_p99_us) +
          ", \"modeled\": " + (c.modeled ? "true" : "false") + "}";
+}
+
+std::string json_pingpong(const std::vector<PingPong>& v) {
+  std::string s = "[";
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) s += ", ";
+    s += "{\"idle_waiters\": " + std::to_string(v[i].idle_waiters) +
+         ", \"p50_us\": " + bench::fmt("%.2f", v[i].p50_us) +
+         ", \"p99_us\": " + bench::fmt("%.2f", v[i].p99_us) + "}";
+  }
+  return s + "]";
 }
 
 std::string json_cells(const std::vector<Cell>& v) {
@@ -251,6 +332,26 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
+  bench::section("Mailbox ping-pong with idle receivers");
+  constexpr std::size_t kPingBytes = 16 * 1024;
+  const int ping_trips = quick ? 2000 : 20000;
+  const int ping_reps = quick ? 3 : 5;
+  const auto pingpong = run_pingpong({0, 2, 8}, ping_reps, ping_trips, kPingBytes);
+  bench::Table ping_table({"idle waiters/mailbox", "rtt p50 us", "rtt p99 us"});
+  for (const PingPong& c : pingpong) {
+    ping_table.row({std::to_string(c.idle_waiters), bench::fmt("%.2f", c.p50_us),
+                    bench::fmt("%.2f", c.p99_us)});
+  }
+  ping_table.print();
+  const bool enforce_ping = hw >= 2;
+  if (enforce_ping && pingpong[1].p50_us > 1.25 * pingpong[0].p50_us) {
+    std::fprintf(stderr,
+                 "bench_cluster: ping-pong p50 %.2f us with 2 idle waiters "
+                 "exceeds 1.25x the %.2f us without\n",
+                 pingpong[1].p50_us, pingpong[0].p50_us);
+    ok = false;
+  }
+
   FILE* out = std::fopen(json_path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "bench_cluster: cannot write %s\n", json_path.c_str());
@@ -272,11 +373,18 @@ int main(int argc, char** argv) {
                "  \"ranks\": %s,\n"
                "  \"classic_allgather\": %s,\n"
                "  \"sharded\": %s,\n"
-               "  \"wall_gate_enforced\": %s\n"
+               "  \"wall_gate_enforced\": %s,\n"
+               "  \"pingpong_payload_bytes\": %zu,\n"
+               "  \"pingpong_round_trips\": %d,\n"
+               "  \"pingpong_reps\": %d,\n"
+               "  \"pingpong\": %s,\n"
+               "  \"pingpong_gate_enforced\": %s\n"
                "}\n",
                quick ? "true" : "false", hw, files_per_rank, kRf,
                ranks_json.c_str(), json_cells(classic).c_str(),
-               json_cells(sharded).c_str(), enforce_wall ? "true" : "false");
+               json_cells(sharded).c_str(), enforce_wall ? "true" : "false",
+               kPingBytes, ping_trips, ping_reps, json_pingpong(pingpong).c_str(),
+               enforce_ping ? "true" : "false");
   std::fclose(out);
   std::printf("\nwrote %s\n", json_path.c_str());
   if (!ok) {

@@ -60,11 +60,20 @@ void VfsBackend::put(const std::string& path, Blob blob) {
 }
 
 std::optional<Blob> VfsBackend::get(const std::string& path) const {
-  const auto payload = posixfs::read_file(*fs_, object_path(path));
-  if (!payload || payload->size() < 2) return std::nullopt;
+  // The object is the 2-byte compressor id, then the payload, which is read
+  // straight into the blob.
+  const int fd = fs_->open(object_path(path), posixfs::OpenMode::kRead);
+  if (fd < 0) return std::nullopt;
+  std::uint8_t header[2];
+  std::optional<Bytes> data;
+  if (fs_->read(fd, MutByteView{header, sizeof(header)}) == sizeof(header)) {
+    data = posixfs::read_to_end(*fs_, fd);
+  }
+  fs_->close(fd);
+  if (!data) return std::nullopt;
   Blob b;
-  b.compressor = load_le<std::uint16_t>(payload->data());
-  b.data.assign(payload->begin() + 2, payload->end());
+  b.compressor = load_le<std::uint16_t>(header);
+  b.data = std::move(*data);
   return b;
 }
 

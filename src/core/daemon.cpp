@@ -22,6 +22,7 @@ Bytes encode_fetch_request(std::uint32_t reply_tag, std::string_view path) {
 
 Bytes encode_fetch_reply(std::uint8_t status, const Blob* blob, std::uint64_t raw_size) {
   Bytes out;
+  out.reserve(kFetchReplyHeaderBytes + (blob != nullptr ? blob->data.size() : 0));
   out.push_back(status);
   append_le<std::uint16_t>(out, blob != nullptr ? blob->compressor : 0);
   append_le<std::uint64_t>(out, raw_size);
@@ -163,11 +164,14 @@ void Daemon::handle_fetch(const mpi::Message& msg) {
   // included — their payload is empty either way).
   const auto stat = meta_->lookup(path);
   const std::uint64_t raw_size = stat ? stat->size : 0;
+  Bytes reply = encode_fetch_reply(kFetchOk, &*blob, raw_size);
+  // Counted before the reply leaves: once the requester holds the bytes, a
+  // snapshot of this registry already includes the fetch. serve_us
+  // therefore excludes the send, which the requester's wire time carries.
   fetch_bytes_->inc(blob->data.size());
-  comm_.send(msg.source, static_cast<int>(reply_tag),
-             encode_fetch_reply(kFetchOk, &*blob, raw_size));
   fetches_served_->inc();
   serve_us_->record(static_cast<std::uint64_t>(timer.elapsed_us()));
+  comm_.send(msg.source, static_cast<int>(reply_tag), std::move(reply));
 }
 
 void Daemon::handle_write_meta(const mpi::Message& msg) {

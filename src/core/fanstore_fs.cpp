@@ -127,8 +127,11 @@ FanStoreFs::FetchStatus FanStoreFs::fetch_from(int rank, const std::string& path
   Blob fetched;
   fetched.compressor = load_le<std::uint16_t>(reply->payload.data() + 1);
   const std::uint64_t raw_size = load_le<std::uint64_t>(reply->payload.data() + 3);
-  fetched.data.assign(reply->payload.begin() + kFetchReplyHeaderBytes,
-                      reply->payload.end());
+  // The payload buffer becomes the blob: drop the header in place rather
+  // than copying the data into a second blob-sized allocation.
+  fetched.data = std::move(reply->payload);
+  fetched.data.erase(fetched.data.begin(),
+                     fetched.data.begin() + kFetchReplyHeaderBytes);
   // raw_size == 0 means the serving daemon has no metadata for this path.
   // That is normal under sharded metadata (§13): data placement and
   // metadata placement are decoupled, so the rank holding the blob may not

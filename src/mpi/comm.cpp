@@ -16,34 +16,27 @@ void Comm::send(int dest, int tag, Bytes payload) const {
   world_->deliver(dest, Message{rank_, tag, std::move(payload)});
 }
 
-namespace {
-std::function<bool(const Message&)> match_source_tag(int source, int tag) {
-  return [source, tag](const Message& m) {
-    return (source == kAnySource || m.source == source) &&
-           (tag == kAnyTag || m.tag == tag);
-  };
-}
-}  // namespace
-
 Message Comm::recv(int source, int tag) const {
-  return *world_->take_matching(rank_, match_source_tag(source, tag), /*block=*/true);
+  return *world_->take_matching(rank_, World::Matcher{source, tag}, /*block=*/true);
 }
 
 std::optional<Message> Comm::try_recv(int source, int tag) const {
-  return world_->take_matching(rank_, match_source_tag(source, tag), /*block=*/false);
+  return world_->take_matching(rank_, World::Matcher{source, tag}, /*block=*/false);
 }
 
 Message Comm::recv_if(const std::function<bool(const Message&)>& pred) const {
-  return *world_->take_matching(rank_, pred, /*block=*/true);
+  return *world_->take_matching(rank_, World::Matcher{kAnySource, kAnyTag, &pred},
+                                /*block=*/true);
 }
 
 std::optional<Message> Comm::try_recv_if(
     const std::function<bool(const Message&)>& pred) const {
-  return world_->take_matching(rank_, pred, /*block=*/false);
+  return world_->take_matching(rank_, World::Matcher{kAnySource, kAnyTag, &pred},
+                               /*block=*/false);
 }
 
 std::optional<Message> Comm::recv_timeout(int source, int tag, int timeout_ms) const {
-  return world_->take_matching(rank_, match_source_tag(source, tag), /*block=*/true,
+  return world_->take_matching(rank_, World::Matcher{source, tag}, /*block=*/true,
                                timeout_ms);
 }
 
@@ -111,6 +104,12 @@ World::World(int nranks, fault::FaultInjector* injector, util::TimeSource* time)
   coll_slots_.resize(static_cast<std::size_t>(nranks));
 }
 
+std::size_t World::posted_receives(int rank) const {
+  Mailbox& mb = *mailboxes_.at(static_cast<std::size_t>(rank));
+  sync::MutexLock lk(mb.mu);
+  return mb.posted.size();
+}
+
 void World::deliver(int dest, Message msg) {
   if (dest < 0 || dest >= nranks_) throw std::out_of_range("send: bad destination rank");
   messages_sent_.inc();
@@ -128,56 +127,85 @@ void World::deliver(int dest, Message msg) {
     if (v.delay_ms > 0) due += util::ms_to_ns(v.delay_ms);
   }
   Mailbox& mb = *mailboxes_[static_cast<std::size_t>(dest)];
-  {
-    sync::MutexLock lk(mb.mu);
-    if (duplicate) mb.queue.push_back(Entry{msg, due});
-    mb.queue.push_back(Entry{std::move(msg), due});
-  }
-  mb.cv.notify_all();
+  sync::MutexLock lk(mb.mu);
+  if (duplicate) mb.queue.push_back(Entry{msg, due});
+  mb.queue.push_back(Entry{std::move(msg), due});
+  dispatch(mb);
 }
 
-std::optional<Message> World::take_matching(
-    int rank, const std::function<bool(const Message&)>& pred, bool block,
-    int timeout_ms) {
-  Mailbox& mb = *mailboxes_[static_cast<std::size_t>(rank)];
-  sync::MutexLock lk(mb.mu);
-  const bool has_deadline = timeout_ms >= 0;
-  const util::TimeNs deadline =
-      time_->now_ns() + util::ms_to_ns(has_deadline ? timeout_ms : 0);
-  // Scan for a matching entry that is already due; a matching entry whose
-  // delivery time lies in the future bounds how long we sleep (a delayed
-  // message must surface the moment it comes due, without another notify).
-  bool have_due = false;
-  util::TimeNs earliest_due = 0;
-  auto match = [&](util::TimeNs now) NO_THREAD_SAFETY_ANALYSIS
-      -> std::optional<Message> {
-    have_due = false;
-    for (auto it = mb.queue.begin(); it != mb.queue.end(); ++it) {
-      if (!pred(it->msg)) continue;
-      if (it->due <= now) {
-        Message m = std::move(it->msg);
-        mb.queue.erase(it);
-        return m;
-      }
-      if (!have_due || it->due < earliest_due) {
-        have_due = true;
-        earliest_due = it->due;
-      }
+bool World::Matcher::operator()(const Message& m) const {
+  if (pred != nullptr) return (*pred)(m);
+  return (source == kAnySource || m.source == source) &&
+         (tag == kAnyTag || m.tag == tag);
+}
+
+std::optional<Message> World::take_due(Mailbox& mb, const Matcher& match,
+                                       util::TimeNs now, util::TimeNs* earliest) {
+  for (auto it = mb.queue.begin(); it != mb.queue.end(); ++it) {
+    if (!match(it->msg)) continue;
+    if (it->due <= now) {
+      Message m = std::move(it->msg);
+      mb.queue.erase(it);
+      return m;
     }
-    return std::nullopt;
-  };
-  for (;;) {
-    const util::TimeNs now = time_->now_ns();
-    if (auto m = match(now)) return m;
-    if (!block) return std::nullopt;
-    if (has_deadline && now >= deadline) return std::nullopt;
-    if (!has_deadline && !have_due) {
-      mb.cv.wait(mb.mu);
+    *earliest = std::min(*earliest, it->due);
+  }
+  return std::nullopt;
+}
+
+// Hands each posted receive, in posting order, the first due entry it
+// matches, and wakes only the receivers it served. A receiver whose only
+// match is not yet due (a fault-injected delay) and comes due before its
+// current timed wait ends is woken too, so it re-arms for that due-time.
+// Every notify happens under mb.mu: the Waiter lives on the receiver's
+// stack and is gone as soon as the receiver reacquires the lock.
+void World::dispatch(Mailbox& mb) {
+  if (mb.posted.empty()) return;
+  const util::TimeNs now = time_->now_ns();
+  for (auto it = mb.posted.begin(); it != mb.posted.end() && !mb.queue.empty();) {
+    Waiter& w = **it;
+    util::TimeNs earliest = kNever;
+    w.slot = take_due(mb, *w.match, now, &earliest);
+    if (w.slot) {
+      it = mb.posted.erase(it);
+      w.cv.notify_one();
       continue;
     }
-    util::TimeNs wake = has_deadline ? deadline : earliest_due;
-    if (have_due && earliest_due < wake) wake = earliest_due;
-    time_->wait_until(mb.cv, mb.mu, wake);
+    if (earliest < w.wake) w.cv.notify_one();
+    ++it;
+  }
+}
+
+std::optional<Message> World::take_matching(int rank, const Matcher& match,
+                                            bool block, int timeout_ms) {
+  Mailbox& mb = *mailboxes_[static_cast<std::size_t>(rank)];
+  sync::MutexLock lk(mb.mu);
+  util::TimeNs now = time_->now_ns();
+  const util::TimeNs deadline =
+      timeout_ms >= 0 ? now + util::ms_to_ns(timeout_ms) : kNever;
+  // A matching entry whose delivery time lies in the future bounds how
+  // long we sleep: a delayed message must surface the moment it comes due,
+  // without another deliver.
+  util::TimeNs earliest = kNever;
+  if (auto m = take_due(mb, match, now, &earliest)) return m;
+  if (!block || now >= deadline) return std::nullopt;
+  Waiter w(&match);
+  mb.posted.push_back(&w);
+  for (;;) {
+    w.wake = std::min(deadline, earliest);
+    if (w.wake == kNever) {
+      w.cv.wait(mb.mu);
+    } else {
+      time_->wait_until(w.cv, mb.mu, w.wake);
+    }
+    if (w.slot) return std::move(w.slot);  // dispatch already unposted w
+    now = time_->now_ns();
+    earliest = kNever;
+    std::optional<Message> m = take_due(mb, match, now, &earliest);
+    if (m || now >= deadline) {
+      std::erase(mb.posted, &w);
+      return m;
+    }
   }
 }
 

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -107,6 +108,10 @@ class World {
   int size() const { return nranks_; }
   Comm comm(int rank) { return Comm(this, rank); }
 
+  /// Receives currently blocked on `rank`'s mailbox (recv, recv_if,
+  /// recv_timeout). Lets tests order receivers deterministically.
+  std::size_t posted_receives(int rank) const;
+
  private:
   friend class Comm;
 
@@ -120,16 +125,44 @@ class World {
     Message msg;
     util::TimeNs due;  // on time_'s timeline
   };
+  static constexpr util::TimeNs kNever = std::numeric_limits<util::TimeNs>::max();
+
+  // What one receive accepts: (source, tag) with wildcards, or — when
+  // `pred` is set — an arbitrary predicate (recv_if).
+  struct Matcher {
+    int source = kAnySource;
+    int tag = kAnyTag;
+    const std::function<bool(const Message&)>* pred = nullptr;
+    bool operator()(const Message& m) const;
+  };
+  // A blocked receive, posted on its mailbox for the duration of the wait.
+  // It lives on the receiver's stack: deliver fills `slot` and notifies
+  // `cv` while holding the mailbox lock, so the waiter cannot return (and
+  // destroy itself) before the notify completes.
+  struct Waiter {
+    explicit Waiter(const Matcher* m) : match(m) {}
+    const Matcher* match;
+    sync::AnnotatedCondVar cv;
+    std::optional<Message> slot;  // handed over by deliver; unposts the waiter
+    util::TimeNs wake = kNever;   // the timed wait's target
+  };
+  // MPI-style matching: `queue` holds the unexpected messages (arrived,
+  // not yet taken), `posted` the blocked receives in posting order. A
+  // delivered message goes to the first posted receive it matches, and only
+  // that receiver wakes.
   struct Mailbox {
     sync::Mutex mu{"mpi.mailbox.mu"};
-    sync::AnnotatedCondVar cv;
     std::deque<Entry> queue GUARDED_BY(mu);
+    std::vector<Waiter*> posted GUARDED_BY(mu);
   };
 
   void deliver(int dest, Message msg);
-  std::optional<Message> take_matching(int rank,
-                                       const std::function<bool(const Message&)>& pred,
-                                       bool block, int timeout_ms = -1);
+  void dispatch(Mailbox& mb) REQUIRES(mb.mu);
+  static std::optional<Message> take_due(Mailbox& mb, const Matcher& match,
+                                         util::TimeNs now, util::TimeNs* earliest)
+      REQUIRES(mb.mu);
+  std::optional<Message> take_matching(int rank, const Matcher& match, bool block,
+                                       int timeout_ms = -1);
 
   void barrier_impl() EXCLUDES(coll_mu_);
   std::vector<Bytes> allgather_impl(int rank, ByteView mine) EXCLUDES(coll_mu_);

@@ -37,20 +37,39 @@ std::int64_t Vfs::pread(int fd, MutByteView buf, std::uint64_t offset) {
   return n;
 }
 
-std::optional<Bytes> read_file(Vfs& fs, std::string_view path) {
-  const int fd = fs.open(path, OpenMode::kRead);
-  if (fd < 0) return std::nullopt;
+std::optional<Bytes> read_to_end(Vfs& fs, int fd) {
+  // One allocation of the remaining size, taken from lseek (no stat, so no
+  // metadata lookup); the chunked loop below then only confirms EOF, or
+  // picks up whatever a file that grew meanwhile (or a Vfs without
+  // kEnd) still has to give.
   Bytes out;
+  const std::int64_t pos = fs.lseek(fd, 0, Whence::kCur);
+  const std::int64_t end = pos >= 0 ? fs.lseek(fd, 0, Whence::kEnd) : -1;
+  if (end >= 0) {
+    if (fs.lseek(fd, pos, Whence::kSet) != pos) return std::nullopt;
+    if (end > pos) out.resize(static_cast<std::size_t>(end - pos));
+  }
+  std::size_t got = 0;
+  while (got < out.size()) {
+    const std::int64_t n = fs.read(fd, MutByteView{out.data() + got, out.size() - got});
+    if (n < 0) return std::nullopt;
+    if (n == 0) break;
+    got += static_cast<std::size_t>(n);
+  }
+  out.resize(got);
   std::uint8_t chunk[64 * 1024];
   for (;;) {
     const std::int64_t n = fs.read(fd, MutByteView{chunk, sizeof(chunk)});
-    if (n < 0) {
-      fs.close(fd);
-      return std::nullopt;
-    }
-    if (n == 0) break;
+    if (n < 0) return std::nullopt;
+    if (n == 0) return out;
     out.insert(out.end(), chunk, chunk + n);
   }
+}
+
+std::optional<Bytes> read_file(Vfs& fs, std::string_view path) {
+  const int fd = fs.open(path, OpenMode::kRead);
+  if (fd < 0) return std::nullopt;
+  auto out = read_to_end(fs, fd);
   fs.close(fd);
   return out;
 }

@@ -83,6 +83,10 @@ class Vfs {
 /// Rejects ".." (returns empty string) — FanStore paths are dataset-rooted.
 std::string normalize_path(std::string_view path);
 
+/// Reads from `fd`'s offset to EOF into a buffer sized once from lseek;
+/// returns nullopt on error.
+std::optional<Bytes> read_to_end(Vfs& fs, int fd);
+
 /// Reads an entire file through any Vfs; returns nullopt on error.
 std::optional<Bytes> read_file(Vfs& fs, std::string_view path);
 

@@ -337,6 +337,40 @@ TEST(FanStoreIntegrationTest, NeighbourReadRequiresRemoteFetch) {
   });
 }
 
+TEST(FanStoreIntegrationTest, ServedFetchCountedBeforeReplyArrives) {
+  // The owner counts a served fetch before its reply leaves, so a snapshot
+  // taken on the owner once the requester's read has returned already
+  // includes it, with no stop() to join the daemon in between.
+  constexpr int kRounds = 20;
+  mpi::run_world(2, [&](mpi::Comm& comm) {
+    Instance inst(comm, {});
+    std::vector<std::pair<std::string, Bytes>> files;
+    for (int i = 0; i < (comm.rank() == 1 ? kRounds : 1); ++i) {
+      files.emplace_back("p/r" + std::to_string(comm.rank()) + "_" + std::to_string(i),
+                         testdata::text_like(3000, static_cast<std::uint64_t>(i)));
+    }
+    inst.load_partition_blob(as_view(make_partition(files, "lz4")),
+                             static_cast<std::uint32_t>(comm.rank()));
+    inst.exchange_metadata();
+    inst.start_daemon();
+    comm.barrier();
+    for (int i = 0; i < kRounds; ++i) {
+      // A different file each round: a repeat would be a cache hit.
+      if (comm.rank() == 0) {
+        ASSERT_TRUE(
+            posixfs::read_file(inst.fs(), "p/r1_" + std::to_string(i)).has_value());
+      }
+      comm.barrier();
+      if (comm.rank() == 1) {
+        EXPECT_EQ(inst.metrics().counter("daemon.fetches_served").value(),
+                  static_cast<std::uint64_t>(i + 1));
+      }
+      comm.barrier();
+    }
+    inst.stop();
+  });
+}
+
 TEST(FanStoreIntegrationTest, FullSharedFsFlowWithRingReplication) {
   // End-to-end: prep packs a dataset into a shared MemVfs; 4 ranks load
   // their partitions, replicate one ring hop, exchange metadata, and read

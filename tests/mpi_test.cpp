@@ -219,6 +219,140 @@ TEST(MpiTest, DelayedDeliveryMaturesWithInjectedClock) {
       &inj, &clock);
 }
 
+// --- Posted-receive matching ------------------------------------------------
+// These tests drive a World from their own threads so they can wait until a
+// receive is posted (World::posted_receives) before the next step: the
+// order in which receivers block is then part of the script, not of the
+// scheduler.
+
+void wait_posted(const World& world, int rank, std::size_t n) {
+  for (int i = 0; i < 10000 && world.posted_receives(rank) != n; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(world.posted_receives(rank), n);
+}
+
+TEST(MpiMatchingTest, ReceiversOnOneSourceTagServedInPostingOrder) {
+  World world(2);
+  Bytes first, second;
+  std::thread a([&] { first = world.comm(1).recv(0, 5).payload; });
+  wait_posted(world, 1, 1);
+  std::thread b([&] { second = world.comm(1).recv(0, 5).payload; });
+  wait_posted(world, 1, 2);
+  world.comm(0).send(1, 5, Bytes{1});
+  world.comm(0).send(1, 5, Bytes{2});
+  a.join();
+  b.join();
+  EXPECT_EQ(first, Bytes{1});
+  EXPECT_EQ(second, Bytes{2});
+  EXPECT_EQ(world.posted_receives(1), 0u);
+}
+
+TEST(MpiMatchingTest, PredicateAndSourceTagReceiversGetOnlyTheirOwn) {
+  World world(2);
+  std::vector<int> daemon_tags, reply_tags;
+  // Daemon-style: protocol tags below 1000 until a stop tag.
+  std::thread daemon([&] {
+    const std::function<bool(const Message&)> is_protocol =
+        [](const Message& m) { return m.tag < 1000; };
+    for (;;) {
+      const Message m = world.comm(1).recv_if(is_protocol);
+      if (m.tag == 0) return;
+      daemon_tags.push_back(m.tag);
+    }
+  });
+  wait_posted(world, 1, 1);
+  std::thread app([&] {
+    for (int i = 0; i < 2; ++i) reply_tags.push_back(world.comm(1).recv(0, 2000).tag);
+  });
+  wait_posted(world, 1, 2);
+  // The daemon is posted first; a reply must skip it for the app.
+  world.comm(0).send(1, 2000, Bytes{});
+  world.comm(0).send(1, 100, Bytes{});
+  world.comm(0).send(1, 2000, Bytes{});
+  world.comm(0).send(1, 101, Bytes{});
+  app.join();
+  world.comm(0).send(1, 0, Bytes{});
+  daemon.join();
+  EXPECT_EQ(daemon_tags, (std::vector<int>{100, 101}));
+  EXPECT_EQ(reply_tags, (std::vector<int>{2000, 2000}));
+}
+
+fault::FaultInjector one_rule_injector(fault::MessageRule rule) {
+  fault::FaultPlan plan;
+  plan.seed = 11;
+  plan.messages.push_back(rule);
+  return fault::FaultInjector(plan);
+}
+
+TEST(MpiMatchingTest, DelayedMessageSurfacesForPostedReceiverAtDueTime) {
+  fault::MessageRule rule;
+  rule.tag = 9;
+  rule.delay_prob = 1.0;
+  rule.delay_ms = 20;
+  fault::FaultInjector inj = one_rule_injector(rule);
+  util::ManualTimeSource clock;
+  World world(2, &inj, &clock);
+  std::atomic<bool> got{false};
+  Bytes payload;
+  std::thread rx([&] {
+    payload = world.comm(1).recv(0, 9).payload;
+    got.store(true);
+  });
+  wait_posted(world, 1, 1);
+  world.comm(0).send(1, 9, Bytes{42});
+  // Real time passes, virtual time does not: still in flight.
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(got.load());
+  EXPECT_EQ(world.posted_receives(1), 1u);
+  clock.advance_ms(25);
+  rx.join();
+  EXPECT_EQ(payload, Bytes{42});
+  EXPECT_EQ(world.posted_receives(1), 0u);
+}
+
+TEST(MpiMatchingTest, DuplicatedMessageReachesTwoPostedReceivers) {
+  fault::MessageRule rule;
+  rule.tag = 9;
+  rule.dup_prob = 1.0;
+  fault::FaultInjector inj = one_rule_injector(rule);
+  World world(2, &inj);
+  Bytes a_got, b_got;
+  std::thread a([&] { a_got = world.comm(1).recv(0, 9).payload; });
+  wait_posted(world, 1, 1);
+  std::thread b([&] { b_got = world.comm(1).recv(0, 9).payload; });
+  wait_posted(world, 1, 2);
+  world.comm(0).send(1, 9, Bytes{7});
+  a.join();
+  b.join();
+  EXPECT_EQ(a_got, Bytes{7});
+  EXPECT_EQ(b_got, Bytes{7});
+  EXPECT_FALSE(world.comm(1).try_recv(0, 9).has_value());
+}
+
+TEST(MpiMatchingTest, ExpiredRecvTimeoutUnpostsAndNextRecvGetsTheMessage) {
+  util::ManualTimeSource clock;
+  World world(2, nullptr, &clock);
+  std::atomic<bool> expired{false};
+  std::thread a([&] {
+    EXPECT_FALSE(world.comm(1).recv_timeout(0, 5, 50).has_value());
+    expired.store(true);
+  });
+  wait_posted(world, 1, 1);
+  while (!expired.load()) {
+    clock.advance_ms(60);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  a.join();
+  EXPECT_EQ(world.posted_receives(1), 0u);
+  Bytes got;
+  std::thread b([&] { got = world.comm(1).recv(0, 5).payload; });
+  wait_posted(world, 1, 1);
+  world.comm(0).send(1, 5, Bytes{3});
+  b.join();
+  EXPECT_EQ(got, Bytes{3});
+}
+
 TEST(MpiTest, LargeWorld) {
   // 128 rank-threads; validates scalability of the threading substrate.
   run_world(128, [](Comm& comm) {
