@@ -7,7 +7,7 @@
 #include <unordered_map>
 
 #include "bench/bench_util.hpp"
-#include "core/cache.hpp"
+#include "core/tiered_cache.hpp"
 #include "util/rng.hpp"
 
 using namespace fanstore;
@@ -77,7 +77,9 @@ int main() {
                       "LRU hit%", "plain-FIFO unsafe evictions"});
   for (const double frac : {0.1, 0.25, 0.5, 0.9}) {
     const auto capacity = static_cast<std::size_t>(frac * kFiles * kFileBytes);
-    core::PlainCache fanstore_cache(capacity);
+    core::TieredCache::Options opt;  // plain tier only
+    opt.plain_bytes = capacity;
+    core::TieredCache fanstore_cache(opt);
     LruSim lru{capacity, {}, {}};
     FifoSim fifo{capacity, {}, {}};
     Rng rng(42);
@@ -87,7 +89,11 @@ int main() {
     for (std::size_t a = 0; a < kAccesses; ++a) {
       const std::size_t id = rng.next_below(kFiles);
       const std::string path = "f" + std::to_string(id);
-      fanstore_cache.acquire(path, [&] { return Bytes(kFileBytes, 1); });
+      fanstore_cache.acquire_file(path, [] {
+        core::ColdResult r;
+        r.file = std::make_shared<core::CachedFile>(Bytes(kFileBytes, 1));
+        return r;
+      });
       open_now[id]++;
       window.push_back(id);
       lru.access(id);

@@ -1,5 +1,6 @@
 // Hot-path concurrency benchmark: multi-threaded open/read throughput of
-// the sharded single-flight PlainCache and the low-contention FanStoreFs
+// the sharded single-flight TieredCache (plain tier only: both lower-tier
+// budgets 0) and the low-contention FanStoreFs
 // read path, swept over 1–16 I/O threads on hit-heavy and miss-heavy
 // mixes, against the pre-PR single-global-mutex cache (replicated below,
 // duplicate-miss window and all).
@@ -33,8 +34,8 @@
 #include "bench/bench_util.hpp"
 #include "compress/registry.hpp"
 #include "obs/metrics.hpp"
-#include "core/cache.hpp"
 #include "core/instance.hpp"
+#include "core/tiered_cache.hpp"
 #include "mpi/comm.hpp"
 #include "posixfs/vfs.hpp"
 #include "util/timer.hpp"
@@ -153,17 +154,46 @@ Dataset make_dataset(std::size_t files) {
   return ds;
 }
 
+/// The sharded cache under test: the plain tier alone.
+core::TieredCache::Options plain_tier(std::size_t capacity,
+                                      std::size_t shards) {
+  core::TieredCache::Options opt;
+  opt.plain_bytes = capacity;
+  opt.plain_shards = shards;
+  return opt;
+}
+
+/// The cold loader for `file`: decompress it, counting the run in `loads`.
+core::TieredCache::ColdLoader decompress_loader(
+    const Dataset& ds, std::size_t file, std::atomic<std::uint64_t>* loads) {
+  return [&ds, file, loads] {
+    if (loads != nullptr) loads->fetch_add(1, std::memory_order_relaxed);
+    core::ColdResult r;
+    r.file = std::make_shared<core::CachedFile>(
+        ds.codec->decompress(as_view(ds.compressed[file]), kFileBytes));
+    return r;
+  };
+}
+
 // One "open/read": acquire (decompressing on miss), copy the plain bytes
 // out (the read), release.
-template <typename Cache>
-void open_read_close(Cache& cache, const Dataset& ds, std::size_t file,
-                     Bytes& read_buf) {
+void open_read_close(LegacyMutexCache& cache, const Dataset& ds,
+                     std::size_t file, Bytes& read_buf) {
   const std::string& path = ds.paths[file];
   auto data = cache.acquire(path, [&] {
     return ds.codec->decompress(as_view(ds.compressed[file]), kFileBytes);
   });
   read_buf.resize(data->size());
   std::memcpy(read_buf.data(), data->data(), data->size());
+  cache.release(path);
+}
+
+void open_read_close(core::TieredCache& cache, const Dataset& ds,
+                     std::size_t file, Bytes& read_buf) {
+  const std::string& path = ds.paths[file];
+  auto data = cache.acquire_file(path, decompress_loader(ds, file, nullptr));
+  read_buf.resize(data->size());
+  std::memcpy(read_buf.data(), data->plain().data(), data->size());
   cache.release(path);
 }
 
@@ -286,7 +316,7 @@ int main(int argc, char** argv) {
       legacy_sec = timer.elapsed_sec();
     }
 
-    core::PlainCache sharded(hit_capacity, kShards);
+    core::TieredCache sharded(plain_tier(hit_capacity, kShards));
     std::atomic<std::uint64_t> sharded_loads{0};
     double sharded_sec;
     {
@@ -297,11 +327,9 @@ int main(int argc, char** argv) {
           Bytes buf;
           for (std::size_t k = 0; k < epoch_len; ++k) {
             const std::size_t f = k % ds.paths.size();
-            auto data = sharded.acquire(ds.paths[f], [&] {
-              sharded_loads.fetch_add(1, std::memory_order_relaxed);
-              return ds.codec->decompress(as_view(ds.compressed[f]), kFileBytes);
-            });
-            buf.assign(data->begin(), data->end());
+            auto data = sharded.acquire_file(
+                ds.paths[f], decompress_loader(ds, f, &sharded_loads));
+            buf.assign(data->plain().begin(), data->plain().end());
             sharded.release(ds.paths[f]);
           }
         });
@@ -357,7 +385,8 @@ int main(int argc, char** argv) {
     const std::size_t total_ops = static_cast<std::size_t>(t) * miss_ops;
     LegacyMutexCache legacy(miss_capacity);
     const double legacy_sec = run_miss_heavy(legacy, ds, t, miss_ops);
-    core::PlainCache sharded(miss_capacity, 0);  // production auto-shard policy
+    // Production auto-shard policy.
+    core::TieredCache sharded(plain_tier(miss_capacity, 0));
     const double sharded_sec = run_miss_heavy(sharded, ds, t, miss_ops);
     const double legacy_kops = static_cast<double>(total_ops) / legacy_sec / 1e3;
     const double sharded_kops = static_cast<double>(total_ops) / sharded_sec / 1e3;

@@ -5,9 +5,10 @@
 // over a chunked-lz4 dataset, locally shuffled so every rank re-reads the
 // full file set each epoch:
 //
-//   plain-only   PlainCache with budget B. Once the reuse distance exceeds
-//                B, every miss goes back over the interconnect to the
-//                owner rank (network transfer + remote service time).
+//   plain-only   The plain tier alone with budget B. Once the reuse
+//                distance exceeds B, every miss goes back over the
+//                interconnect to the owner rank (network transfer + remote
+//                service time).
 //   tiered       The same plain budget B, plus a compressed-RAM tier of B
 //                and an SSD-spill tier big enough for the remainder.
 //                Evictions demote instead of dropping, so after the first

@@ -1,8 +1,8 @@
 // A cache entry that may be only partially decompressed.
 //
-// Non-chunked files are fully materialized at construction (exactly the old
-// PlainCache value). Chunked files (compress/chunked.hpp) keep the
-// *compressed* frame and decode chunks on demand:
+// Non-chunked files are fully materialized at construction. Chunked files
+// (compress/chunked.hpp) keep the *compressed* frame and decode chunks on
+// demand:
 //
 //   - read_range() decodes only the chunks overlapping the request — the
 //     pread() latency win: a 64 KiB read of a 100 MB object touches at most
@@ -26,8 +26,7 @@
 // here, not patched around).
 //
 // The compressed frame is retained even after full materialization: freeing
-// it would race with concurrent readers holding ChunkedFrame views, and the
-// shared_ptr aliasing used by PlainCache needs a stable owner anyway.
+// it would race with concurrent readers holding ChunkedFrame views.
 // charge_bytes() therefore accounts compressed size + materialized plain
 // bytes.
 //
@@ -119,7 +118,7 @@ class CachedFile {
 
   /// Bytes this entry occupies for cache-budget purposes: retained
   /// compressed frame + plain bytes of materialized chunks. Grows as
-  /// chunks decode (PlainCache::recharge applies the delta).
+  /// chunks decode (TieredCache::recharge applies the delta).
   std::size_t charge_bytes() const;
 
  private:

@@ -50,11 +50,9 @@ TieredCache::Options tier_options(const FanStoreFs::Options& o,
   t.spill_fs = o.spill_fs;
   t.spill_root = o.spill_root;
   t.promote_after_hits = o.promote_after_hits;
-  t.plain_admit_max_bytes = o.plain_admit_max_bytes;
   t.metrics = metrics;
   t.clock = o.clock;
   t.charge_costs = o.cost.enabled;
-  t.charge_decompress = o.cost.charge_decompress;
   t.spill_storage = o.cost.spill_storage;
   return t;
 }
@@ -218,7 +216,6 @@ ColdResult FanStoreFs::load_cached(const std::string& path,
   if (!blob) {
     throw std::runtime_error("fanstore: owner rank has no data for " + path);
   }
-  result.plain_crc = stat.crc;
   if (compress::is_chunked_id(blob->compressor)) {
     // Chunked frame: parse + validate now, decode nothing. Chunks decode
     // (and their cost is charged) exactly once each, wherever they first
@@ -243,13 +240,6 @@ ColdResult FanStoreFs::load_cached(const std::string& path,
   if (options_.cost.charge_decompress && blob->compressor != 0) {
     charge(simnet::CodecSpeedTable::shared().decompress_seconds(blob->compressor,
                                                                 plain.size()));
-  }
-  if (blob->compressor != 0 && cache_.wants_cold_compressed(stat.size)) {
-    // The tiered cache wants the flat compressed form for write-through
-    // admission (admit-to-compressed-only) — hand it over instead of
-    // discarding it.
-    result.compressed = std::move(blob->data);
-    result.compressor = blob->compressor;
   }
   io_.load_us.record(static_cast<std::uint64_t>(timer.elapsed_us()));
   result.file = std::make_shared<CachedFile>(std::move(plain));

@@ -33,7 +33,6 @@
 
 #include "cluster/resolver.hpp"
 #include "core/backend.hpp"
-#include "core/cache.hpp"
 #include "core/daemon.hpp"
 #include "core/tiered_cache.hpp"
 #include "core/metadata_store.hpp"
@@ -73,7 +72,8 @@ class FanStoreFs final : public posixfs::Vfs {
  public:
   struct Options {
     std::size_t cache_bytes = std::size_t{64} << 20;
-    /// Lock stripes for the decompressed cache; 0 = auto (see PlainCache).
+    /// Lock stripes for the plain-RAM tier; 0 = auto (see
+    /// TieredCache::Options::plain_shards).
     std::size_t cache_shards = 0;
     /// Codec for output files; default "store" — checkpoints/logs are
     /// written once and rarely re-read (§II-B3).
@@ -101,8 +101,8 @@ class FanStoreFs final : public posixfs::Vfs {
     /// chunked-framed files (compress/chunked.hpp); 0 = hardware
     /// concurrency. read()/pread() decode the chunks they touch inline.
     std::size_t decode_threads = 0;
-    /// Tiered-cache budgets (DESIGN.md §12). Both zero (the default) keeps
-    /// the classic single-pool plain-RAM cache, byte for byte.
+    /// Lower-tier budgets (DESIGN.md §12). A tier with budget 0 (the
+    /// default) holds nothing; plain-tier victims no tier takes are dropped.
     /// Compressed-RAM tier: plain-tier victims stay resident in chunked-
     /// container form and re-decode per range on hit.
     std::size_t compressed_cache_bytes = 0;
@@ -114,9 +114,6 @@ class FanStoreFs final : public posixfs::Vfs {
     std::string spill_root = ".fanstore-spill";
     /// Lower-tier hits before an entry's bytes move up a tier (min 1).
     std::size_t promote_after_hits = 2;
-    /// Cold objects >= this size are admitted to the compressed tier only
-    /// (plain copy dropped at last close). 0 = always admit to plain RAM.
-    std::size_t plain_admit_max_bytes = 0;
     /// Sharded-metadata resolver (cluster::ClusterNode; DESIGN.md §13).
     /// When set, a local metadata miss consults the shard's owners,
     /// directory listings union across serving ranks, and write metadata
@@ -167,14 +164,9 @@ class FanStoreFs final : public posixfs::Vfs {
     cache_.set_eviction_policy(plan);
   }
 
-  /// The plain-RAM tier (tier 0) — kept as the classic accessor so
-  /// pre-tiering callers compile unchanged.
-  PlainCache& cache() { return cache_.plain(); }
-  const PlainCache& cache() const { return cache_.plain(); }
-  /// The whole tier stack (introspection; pass-through when no tier
-  /// budgets are configured).
-  TieredCache& tiers() { return cache_; }
-  const TieredCache& tiers() const { return cache_; }
+  /// The decompressed-data cache and its lower tiers (introspection).
+  TieredCache& cache() { return cache_; }
+  const TieredCache& cache() const { return cache_; }
 
   /// The registry holding this fs's metrics (injected or private).
   obs::MetricsRegistry& metrics() const { return *metrics_; }
@@ -249,8 +241,7 @@ class FanStoreFs final : public posixfs::Vfs {
   /// `stat.crc` once complete — materialize_entry() or a per-range read
   /// decodes (and charges) later, exactly once per chunk.
   /// The ColdResult carries the fetch source (peer vs local backend) for
-  /// tier accounting, plus the flat compressed blob when the tiered cache
-  /// wants it for write-through admission.
+  /// tier accounting.
   ColdResult load_cached(const std::string& path,
                          const format::FileStat& stat);
 

@@ -10,6 +10,16 @@
 
 namespace fanstore::core {
 
+namespace {
+
+Bytes read_partition(posixfs::Vfs& shared, const std::string& path) {
+  auto blob = posixfs::read_file(shared, path);
+  if (!blob) throw std::runtime_error("instance: cannot read partition " + path);
+  return std::move(*blob);
+}
+
+}  // namespace
+
 Instance::Instance(mpi::Comm comm, Options options)
     : comm_(comm), options_(std::move(options)) {
   if (options_.local_fs != nullptr) {
@@ -101,13 +111,9 @@ void Instance::load_from_shared(posixfs::Vfs& shared,
     if (static_cast<int>(p % static_cast<std::size_t>(nranks)) != comm_.rank()) {
       continue;
     }
-    auto blob = posixfs::read_file(shared, partition_paths[p]);
-    if (!blob) {
-      throw std::runtime_error("instance: cannot read partition " + partition_paths[p]);
-    }
-    charge_partition(blob->size());
-    load_partition_blob(as_view(*blob), static_cast<std::uint32_t>(p));
-    own_partitions_.push_back(std::move(*blob));
+    const Bytes blob = read_partition(shared, partition_paths[p]);
+    charge_partition(blob.size());
+    load_partition_blob(as_view(blob), static_cast<std::uint32_t>(p));
   }
   // Broadcast partitions: every rank loads them, owner = self, so access
   // never leaves the node (used for validation datasets).
@@ -123,12 +129,21 @@ void Instance::load_from_shared(posixfs::Vfs& shared,
   }
 }
 
-void Instance::replicate_ring(int rounds) {
+void Instance::replicate_ring(posixfs::Vfs& shared,
+                              const std::vector<std::string>& partition_paths,
+                              int rounds) {
   const int nranks = comm_.size();
   if (nranks == 1 || rounds <= 0) return;
   // Forward own partitions to the next rank; what arrives from the
   // previous rank is stored locally and forwarded onward on later rounds.
-  std::vector<Bytes> outbound = own_partitions_;
+  // Own partitions are re-read from `shared`, uncharged like the copies.
+  std::vector<Bytes> outbound;
+  for (std::size_t p = 0; p < partition_paths.size(); ++p) {
+    if (static_cast<int>(p % static_cast<std::size_t>(nranks)) != comm_.rank()) {
+      continue;
+    }
+    outbound.push_back(read_partition(shared, partition_paths[p]));
+  }
   for (int round = 0; round < rounds; ++round) {
     const int next = (comm_.rank() + 1) % nranks;
     Bytes packed;
@@ -205,7 +220,8 @@ std::string Instance::stats_report() const {
       buf, sizeof(buf),
       "rank %d: opens=%llu hits=%llu local=%llu remote=%llu failover=%llu | "
       "read=%.1fMB wire=%.1fMB written=%.1fMB | cache %.1f/%.1fMB evict=%llu | "
-      "backend %zu objs %.1fMB | daemon served=%llu meta_fwd=%llu",
+      "tiers comp=%.1fMB spill=%.1fMB | backend %zu objs %.1fMB | "
+      "daemon served=%llu meta_fwd=%llu",
       comm_.rank(), u(m.counter("fs.opens")), u(m.counter("cache.hits")),
       u(m.counter("fs.local_misses")), u(m.counter("fs.remote_fetches")),
       u(m.counter("fs.failovers")),
@@ -214,20 +230,14 @@ std::string Instance::stats_report() const {
       static_cast<double>(m.counter("fs.bytes_written")) / 1e6,
       static_cast<double>(fs_->cache().bytes_used()) / 1e6,
       static_cast<double>(fs_->cache().capacity()) / 1e6,
-      u(m.counter("cache.evictions")), backend_->object_count(),
+      u(m.counter("cache.evictions")),
+      static_cast<double>(fs_->cache().compressed_bytes_used()) / 1e6,
+      static_cast<double>(fs_->cache().spill_bytes_used()) / 1e6,
+      backend_->object_count(),
       static_cast<double>(backend_->bytes_used()) / 1e6,
       u(m.counter("daemon.fetches_served")),
       u(m.counter("daemon.meta_forwards")));
-  std::string out = buf;
-  if (fs_->tiers().tiers_enabled()) {
-    char tier_buf[128];
-    std::snprintf(tier_buf, sizeof(tier_buf),
-                  " | tiers comp=%.1fMB spill=%.1fMB",
-                  static_cast<double>(fs_->tiers().compressed_bytes_used()) / 1e6,
-                  static_cast<double>(fs_->tiers().spill_bytes_used()) / 1e6);
-    out += tier_buf;
-  }
-  return out;
+  return buf;
 }
 
 std::string Instance::metrics_dump(bool json) const {

@@ -90,10 +90,14 @@ class Instance {
                         const std::vector<std::string>& broadcast_paths = {},
                         const simnet::StorageModel* shared_cost = nullptr);
 
-  /// Copies this rank's partitions to the next rank around the ring
-  /// (`rounds` hops), so extra local-storage capacity turns remote fetches
-  /// into local hits. Collective: all ranks must call with equal `rounds`.
-  void replicate_ring(int rounds = 1);
+  /// Copies this rank's partitions — re-read from `shared`, the same
+  /// `partition_paths` given to load_from_shared — to the next rank around
+  /// the ring (`rounds` hops), so extra local-storage capacity turns remote
+  /// fetches into local hits. Nothing is charged to the virtual clock.
+  /// Collective: all ranks must call with equal `rounds`.
+  void replicate_ring(posixfs::Vfs& shared,
+                      const std::vector<std::string>& partition_paths,
+                      int rounds = 1);
 
   /// Collective among bootstrap members: allgather local metadata into the
   /// global view (classic, no cluster), or the sharded point-to-point push
@@ -147,7 +151,6 @@ class Instance {
   std::unique_ptr<FanStoreFs> fs_;
   std::unique_ptr<Daemon> daemon_;
   std::unique_ptr<ipc::Server> server_;  // socket front door; may be null
-  std::vector<Bytes> own_partitions_;  // retained for ring replication
 };
 
 }  // namespace fanstore::core

@@ -1,13 +1,12 @@
 #include "core/tiered_cache.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <thread>
 #include <utility>
-#include <vector>
 
 #include "compress/chunked.hpp"
-#include "compress/registry.hpp"
 #include "posixfs/mem_vfs.hpp"
-#include "simnet/codec_speed.hpp"
 #include "util/crc32.hpp"
 
 namespace fanstore::core {
@@ -16,6 +15,50 @@ namespace {
 
 constexpr std::uint32_t kSpillMagic = 0x31505346;  // "FSP1" little-endian
 constexpr std::size_t kSpillHeader = 4 + 4 + 2 + 8 + 4;  // 22 bytes
+
+std::size_t round_up_pow2(std::size_t n) {
+  std::size_t p = 1;
+  while (p < n) p <<= 1;
+  return p;
+}
+
+std::size_t pick_shards(std::size_t capacity_bytes, std::size_t requested) {
+  if (requested != 0) return round_up_pow2(requested);
+  // Auto policy: enough stripes to spread I/O threads, but never so many
+  // that a shard's budget drops below 1 MiB — a 250-byte unit-test cache
+  // must behave exactly like the classic single-pool FIFO.
+  const std::size_t by_budget = capacity_bytes >> 20;  // capacity / 1 MiB
+  std::size_t hw = std::thread::hardware_concurrency();
+  if (hw == 0) hw = 1;
+  std::size_t shards = round_up_pow2(hw * 2);
+  shards = std::min(shards, std::size_t{32});
+  while (shards > 1 && shards > by_budget) shards >>= 1;
+  return shards;
+}
+
+/// The victim scan every tier shares. Without a policy it is the FIFO head
+/// among unpinned entries. With one it is Belady: the unpinned entry whose
+/// next planned use is farthest away, the earlier FIFO position breaking
+/// ties, so a plan that knows nothing (all kNever) degenerates to exact
+/// FIFO. end() when every entry is pinned.
+template <typename Map>
+std::list<std::string>::iterator pick_victim(std::list<std::string>& fifo,
+                                             const Map& entries,
+                                             const EvictionPolicy* policy) {
+  auto victim = fifo.end();
+  std::uint64_t worst = 0;
+  for (auto pos = fifo.begin(); pos != fifo.end(); ++pos) {
+    if (entries.at(*pos).pinned()) continue;
+    if (policy == nullptr) return pos;
+    const std::uint64_t d = policy->next_use_distance(*pos);
+    if (victim == fifo.end() || d > worst) {
+      worst = d;
+      victim = pos;
+    }
+    if (d == EvictionPolicy::kNever) break;  // nothing can be farther
+  }
+  return victim;
+}
 
 }  // namespace
 
@@ -59,25 +102,37 @@ SpillRecord decode_spill_record(ByteView bytes) {
   return r;
 }
 
-TieredCache::TieredCache(Options options)
-    : opt_(std::move(options)),
-      tier1_on_(opt_.compressed_bytes > 0),
-      tier2_on_(opt_.spill_bytes > 0),
-      plain_(opt_.plain_bytes, opt_.plain_shards, opt_.metrics) {
+TieredCache::TieredCache(Options options) : opt_(std::move(options)) {
   if (opt_.promote_after_hits == 0) opt_.promote_after_hits = 1;
-  if (tier2_on_) {
-    if (opt_.spill_fs != nullptr) {
-      spill_fs_ = opt_.spill_fs;
-    } else {
-      owned_spill_fs_ = std::make_unique<posixfs::MemVfs>();
-      spill_fs_ = owned_spill_fs_.get();
-    }
+  metrics_ = opt_.metrics;
+  if (metrics_ == nullptr) {
+    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
+    metrics_ = owned_metrics_.get();
   }
-  if (!tiers_enabled()) return;  // pass-through: no hook, no tier metrics
-  auto& m = plain_.metrics();
+  spill_fs_ = opt_.spill_fs;
+  if (spill_fs_ == nullptr) {
+    owned_spill_fs_ = std::make_unique<posixfs::MemVfs>();
+    spill_fs_ = owned_spill_fs_.get();
+  }
+  const std::size_t n = pick_shards(opt_.plain_bytes, opt_.plain_shards);
+  shard_mask_ = n - 1;
+  shards_.reserve(n);
+  const std::size_t base = opt_.plain_bytes / n;
+  const std::size_t extra = opt_.plain_bytes % n;
+  for (std::size_t i = 0; i < n; ++i) {
+    auto s = std::make_unique<Shard>();
+    s->budget = base + (i < extra ? 1 : 0);
+    shards_.push_back(std::move(s));
+  }
+  auto& m = *metrics_;
+  hits_ = &m.counter("cache.hits");
+  misses_ = &m.counter("cache.misses");
+  evictions_ = &m.counter("cache.evictions");
+  waits_ = &m.counter("cache.single_flight_waits");
+  plan_evictions_ = &m.counter("plan.evictions");
+  bytes_gauge_ = &m.gauge("cache.bytes_used");
   plain_hits_ = &m.counter("tier.plain.hits");
   comp_hits_ = &m.counter("tier.compressed.hits");
-  comp_admits_ = &m.counter("tier.compressed.admits");
   comp_demotes_ = &m.counter("tier.compressed.demotes");
   comp_promotes_ = &m.counter("tier.compressed.promotes");
   comp_evictions_ = &m.counter("tier.compressed.evictions");
@@ -93,10 +148,6 @@ TieredCache::TieredCache(Options options)
   peer_hits_ = &m.counter("tier.peer.hits");
   cold_loads_ = &m.counter("tier.cold.loads");
   dropped_ = &m.counter("tier.dropped");
-  plain_.set_demotion_hook(
-      [this](const std::string& path, const std::shared_ptr<CachedFile>& f) {
-        demote(path, f);
-      });
 }
 
 void TieredCache::charge(double sec) const {
@@ -112,30 +163,188 @@ std::string TieredCache::spill_path(const std::string& path) const {
   return opt_.spill_root + "/" + buf;
 }
 
-bool TieredCache::wants_cold_compressed(std::size_t size) const {
-  if (!tier1_on_) return false;
-  return opt_.plain_admit_max_bytes > 0 && size >= opt_.plain_admit_max_bytes;
+// ---- Tier 0: the sharded plain-RAM pool ----------------------------------
+
+TieredCache::Shard& TieredCache::shard_for(const std::string& path) const {
+  return *shards_[std::hash<std::string>{}(path) & shard_mask_];
+}
+
+std::size_t TieredCache::shard_of(const std::string& path) const {
+  return std::hash<std::string>{}(path) & shard_mask_;
+}
+
+std::shared_ptr<CachedFile> TieredCache::insert_pinned_locked(
+    Shard& s, const std::string& path, std::shared_ptr<CachedFile> data,
+    std::vector<Demoted>* demoted) {
+  const auto [it, fresh] = s.entries.try_emplace(path);
+  Entry& e = it->second;
+  e.open_count++;
+  // Already resident: a waiter re-admitted an evicted earlier load of this
+  // path while this caller's load was in flight. Pin that entry rather
+  // than charging and queueing the path twice.
+  if (!fresh) return e.data;
+  e.data = std::move(data);
+  e.charged = e.data->charge_bytes();
+  s.fifo.push_back(path);
+  e.fifo_pos = std::prev(s.fifo.end());
+  s.bytes_used += e.charged;
+  bytes_gauge_->add(static_cast<std::int64_t>(e.charged));
+  auto result = e.data;
+  evict_if_needed_locked(s, demoted);  // never evicts the pinned newcomer
+  return result;
+}
+
+void TieredCache::demote_all(std::vector<Demoted>& demoted) {
+  for (auto& v : demoted) demote(v.path, v.data);
+  demoted.clear();
 }
 
 std::shared_ptr<CachedFile> TieredCache::acquire_file(const std::string& path,
                                                       const ColdLoader& cold) {
-  if (!tiers_enabled()) {
-    return plain_.acquire_file(path, [&] {
-      ColdResult r = cold();
-      return std::move(r.file);
-    });
+  Shard& s = shard_for(path);
+  std::shared_ptr<InFlight> flight;
+  std::vector<Demoted> demoted;
+  std::shared_ptr<CachedFile> result;
+  {
+    sync::MutexLock lk(s.mu);
+    if (const auto it = s.entries.find(path); it != s.entries.end()) {
+      it->second.open_count++;
+      hits_->inc();
+      result = it->second.data;
+    } else if (const auto fit = s.inflight.find(path);
+               fit != s.inflight.end()) {
+      // Another thread is already loading this path: wait for it instead
+      // of duplicating the tier walk (single-flight).
+      flight = fit->second;
+      waits_->inc();
+      s.load_done.wait(s.mu, [&] { return flight->done; });
+      if (flight->error != nullptr) std::rethrow_exception(flight->error);
+      hits_->inc();
+      const auto again = s.entries.find(path);
+      if (again != s.entries.end()) {
+        again->second.open_count++;
+        result = again->second.data;
+      } else {
+        // Narrow window: the loader's entry was already evicted (the
+        // loader's caller released its pin before we woke). Re-admit the
+        // bytes we were handed so pin/release stays balanced for this
+        // caller.
+        result = insert_pinned_locked(s, path, flight->data, &demoted);
+      }
+    } else {  // we become the loader
+      flight = std::make_shared<InFlight>();
+      s.inflight.emplace(path, flight);
+    }
   }
-  bool loaded = false;
-  auto file = plain_.acquire_file(
-      path, [&] { return load_below(path, cold); }, &loaded);
-  if (!loaded) plain_hits_->inc();
-  return file;
+  if (result != nullptr) {
+    plain_hits_->inc();
+    demote_all(demoted);
+    return result;
+  }
+  // Miss: walk the lower tiers (potentially slow) without holding any lock.
+  std::shared_ptr<CachedFile> data;
+  try {
+    data = load_below(path, cold);
+  } catch (...) {
+    sync::MutexLock lk(s.mu);
+    flight->error = std::current_exception();
+    flight->done = true;
+    s.inflight.erase(path);
+    s.load_done.notify_all();
+    throw;
+  }
+  {
+    sync::MutexLock lk(s.mu);
+    misses_->inc();
+    flight->data = data;
+    flight->done = true;
+    s.inflight.erase(path);
+    s.load_done.notify_all();
+    result = insert_pinned_locked(s, path, std::move(data), &demoted);
+  }
+  demote_all(demoted);
+  return result;
 }
+
+void TieredCache::recharge(const std::string& path) {
+  Shard& s = shard_for(path);
+  std::vector<Demoted> demoted;
+  {
+    sync::MutexLock lk(s.mu);
+    const auto it = s.entries.find(path);
+    if (it == s.entries.end()) return;
+    const std::size_t now = it->second.data->charge_bytes();
+    const std::size_t before = it->second.charged;
+    if (now == before) return;
+    it->second.charged = now;
+    s.bytes_used += now - before;  // size_t wrap-around is fine for shrink
+    bytes_gauge_->add(static_cast<std::int64_t>(now) -
+                      static_cast<std::int64_t>(before));
+    evict_if_needed_locked(s, &demoted);
+  }
+  demote_all(demoted);
+}
+
+void TieredCache::release(const std::string& path) {
+  Shard& s = shard_for(path);
+  std::vector<Demoted> demoted;
+  {
+    sync::MutexLock lk(s.mu);
+    const auto it = s.entries.find(path);
+    if (it == s.entries.end()) return;
+    if (it->second.open_count > 0) it->second.open_count--;
+    evict_if_needed_locked(s, &demoted);
+  }
+  demote_all(demoted);
+}
+
+void TieredCache::evict_if_needed_locked(Shard& s,
+                                         std::vector<Demoted>* demoted) {
+  // The paper's "variant of FIFO" (entries in use by an I/O thread are
+  // skipped), or Belady when a plan is installed (DESIGN.md §10).
+  const EvictionPolicy* policy = policy_.load(std::memory_order_acquire);
+  while (s.bytes_used > s.budget) {
+    const auto victim = pick_victim(s.fifo, s.entries, policy);
+    if (victim == s.fifo.end()) return;  // everything pinned
+    const auto it = s.entries.find(*victim);
+    s.bytes_used -= it->second.charged;
+    bytes_gauge_->add(-static_cast<std::int64_t>(it->second.charged));
+    evictions_->inc();
+    if (policy != nullptr) plan_evictions_->inc();
+    demoted->push_back({*victim, std::move(it->second.data)});
+    s.fifo.erase(victim);
+    s.entries.erase(it);
+  }
+}
+
+bool TieredCache::contains(const std::string& path) const {
+  Shard& s = shard_for(path);
+  sync::MutexLock lk(s.mu);
+  return s.entries.count(path) > 0;
+}
+
+int TieredCache::open_count(const std::string& path) const {
+  Shard& s = shard_for(path);
+  sync::MutexLock lk(s.mu);
+  const auto it = s.entries.find(path);
+  return it == s.entries.end() ? 0 : it->second.open_count;
+}
+
+std::size_t TieredCache::bytes_used() const {
+  std::size_t total = 0;
+  for (const auto& s : shards_) {
+    sync::MutexLock lk(s->mu);  // one shard at a time: never two held
+    total += s->bytes_used;
+  }
+  return total;
+}
+
+// ---- Tiers 1-3 and cold --------------------------------------------------
 
 std::shared_ptr<CachedFile> TieredCache::load_below(const std::string& path,
                                                     const ColdLoader& cold) {
-  // Runs inside the plain tier's single-flight slot: per-path serialized,
-  // no shard lock held, so taking the tier mutexes here is safe.
+  // Runs inside tier 0's single-flight slot: per-path serialized, no shard
+  // lock held, so taking the tier mutexes here is safe.
   if (auto f = lookup_compressed(path)) return f;
   if (auto f = lookup_spill(path)) return f;
   ColdResult r = cold();
@@ -144,31 +353,11 @@ std::shared_ptr<CachedFile> TieredCache::load_below(const std::string& path,
   } else {
     cold_loads_->inc();
   }
-  // Write-through admission for admit-to-compressed-only objects: their
-  // steady-state home is the compressed tier, so park the compressed form
-  // now — the plain copy is dropped at last release (see release()).
-  if (wants_cold_compressed(r.file->size())) {
-    CompressedEntry e;
-    e.original_size = r.file->size();
-    e.plain_crc = r.plain_crc;
-    e.pinned_home = true;
-    if (r.file->is_chunked()) {
-      e.compressor = r.file->container_id();
-      e.payload = r.file->compressed_bytes();
-    } else if (!r.compressed.empty()) {
-      e.compressor = r.compressor;
-      e.payload = std::move(r.compressed);
-    } else {
-      return std::move(r.file);  // no compressed form available: admit plain
-    }
-    if (insert_compressed(path, std::move(e))) comp_admits_->inc();
-  }
   return std::move(r.file);
 }
 
 std::shared_ptr<CachedFile> TieredCache::lookup_compressed(
     const std::string& path) {
-  if (!tier1_on_) return nullptr;
   compress::CompressorId compressor = 0;
   Bytes payload;
   std::uint64_t original_size = 0;
@@ -185,8 +374,8 @@ std::shared_ptr<CachedFile> TieredCache::lookup_compressed(
     plain_crc = e.plain_crc;
     // Promote on the Nth hit (default second): the bytes *move* up — the
     // tier-1 copy is erased so plain RAM and compressed RAM never hold the
-    // same object twice. Admit-to-compressed-only homes never promote.
-    promote = !e.pinned_home && e.hits >= opt_.promote_after_hits;
+    // same object twice.
+    promote = e.hits >= opt_.promote_after_hits;
     if (promote) {
       payload = std::move(e.payload);
       comp_bytes_ -= payload.size();
@@ -203,7 +392,6 @@ std::shared_ptr<CachedFile> TieredCache::lookup_compressed(
 }
 
 std::shared_ptr<CachedFile> TieredCache::lookup_spill(const std::string& path) {
-  if (!tier2_on_) return nullptr;
   SpillRecord rec;
   bool promote = false;
   {
@@ -256,83 +444,46 @@ std::shared_ptr<CachedFile> TieredCache::rebuild(
     }
     return std::make_shared<CachedFile>(std::move(payload));
   }
-  if (compress::is_chunked_id(compressor)) {
-    // Chunked containers come back lazy: the hit decodes per-range exactly
-    // like a fresh cold load, which is the whole point of keeping tier-1
-    // entries in container form.
-    return std::make_shared<CachedFile>(std::move(payload), compressor,
-                                        original_size, plain_crc);
-  }
-  const auto* codec = compress::Registry::instance().by_id(compressor);
-  if (codec == nullptr) {
-    throw compress::CorruptDataError("tiered payload has unknown codec id");
-  }
-  Bytes plain = codec->decompress(as_view(payload), original_size);
-  if (plain_crc != 0 && crc32(as_view(plain)) != plain_crc) {
-    throw compress::CorruptDataError("tiered payload crc mismatch");
-  }
-  if (opt_.charge_decompress) {
-    charge(simnet::CodecSpeedTable::shared().decompress_seconds(
-        compressor, plain.size()));
-  }
-  return std::make_shared<CachedFile>(std::move(plain));
+  // Chunked containers (the only compressed form demote() stores) come
+  // back lazy: the hit decodes per-range exactly like a fresh cold load,
+  // which is the whole point of keeping tier-1 entries in container form.
+  return std::make_shared<CachedFile>(std::move(payload), compressor,
+                                      original_size, plain_crc);
 }
 
 void TieredCache::demote(const std::string& path,
                          const std::shared_ptr<CachedFile>& file) {
-  // Runs with no plain-shard lock held (PlainCache fires the hook after
-  // unlocking). Chunked entries carry their compressed frame — demote that
-  // form to the compressed tier. Flat entries only have plain bytes, whose
-  // RAM footprint equals what was just evicted, so compressed RAM would buy
-  // nothing: they go straight to the spill device.
-  if (tier1_on_ && file->is_chunked()) {
-    CompressedEntry e;
-    e.compressor = file->container_id();
-    e.payload = file->compressed_bytes();
-    e.original_size = file->size();
-    e.plain_crc = file->plain_crc();
-    if (insert_compressed(path, std::move(e))) {
-      comp_demotes_->inc();
-      return;
-    }
-    return;  // already resident below: dedupe, drop this copy
-  }
-  if (tier2_on_) {
-    if (file->is_chunked()) {
-      if (insert_spill(path, file->container_id(), file->size(),
-                       file->plain_crc(), as_view(file->compressed_bytes()))) {
-        spill_demotes_->inc();
-      }
-      return;
-    }
-    if (!file->fully_materialized()) {
-      dropped_->inc();  // cannot snapshot a partially-decoded flat entry
-      return;
-    }
-    if (insert_spill(path, 0, file->size(), crc32(as_view(file->plain())),
-                     as_view(file->plain()))) {
-      spill_demotes_->inc();
+  // Runs with no shard lock held. Chunked entries carry their compressed
+  // frame — demote that form to the compressed tier, or straight to the
+  // spill device when it does not fit there. Flat entries only have plain
+  // bytes, whose RAM footprint equals what was just evicted, so compressed
+  // RAM would buy nothing: they go to the spill device.
+  if (file->is_chunked()) {
+    const Bytes& frame = file->compressed_bytes();
+    if (frame.size() <= opt_.compressed_bytes) {
+      CompressedEntry e;
+      e.compressor = file->container_id();
+      e.payload = frame;
+      e.original_size = file->size();
+      e.plain_crc = file->plain_crc();
+      insert_compressed(path, std::move(e));
+    } else {
+      insert_spill(path, file->container_id(), file->size(), file->plain_crc(),
+                   as_view(frame));
     }
     return;
   }
-  dropped_->inc();
+  if (kSpillHeader + file->size() > opt_.spill_bytes) {
+    dropped_->inc();  // checked first: no crc for a record that cannot fit
+    return;
+  }
+  insert_spill(path, 0, file->size(), crc32(as_view(file->plain())),
+               as_view(file->plain()));
 }
 
-bool TieredCache::insert_compressed(const std::string& path,
+void TieredCache::insert_compressed(const std::string& path,
                                     CompressedEntry entry) {
   const std::size_t sz = entry.payload.size();
-  if (sz > opt_.compressed_bytes) {
-    // Larger than the whole tier: skip straight to spill.
-    if (tier2_on_) {
-      if (insert_spill(path, entry.compressor, entry.original_size,
-                       entry.plain_crc, as_view(entry.payload))) {
-        spill_demotes_->inc();
-      }
-    } else {
-      dropped_->inc();
-    }
-    return false;
-  }
   struct Victim {
     std::string path;
     CompressedEntry entry;
@@ -340,28 +491,17 @@ bool TieredCache::insert_compressed(const std::string& path,
   std::vector<Victim> victims;
   {
     sync::MutexLock lk(comp_mu_);
-    if (comp_.count(path) > 0) return false;  // dedupe
+    // Already resident below (its tier-1 copy was not yet promoted away):
+    // dedupe, drop this copy.
+    if (comp_.count(path) > 0) return;
     comp_fifo_.push_back(path);
     entry.fifo_pos = std::prev(comp_fifo_.end());
     comp_bytes_ += sz;
     comp_bytes_gauge_->add(static_cast<std::int64_t>(sz));
     comp_.emplace(path, std::move(entry));
     const EvictionPolicy* policy = policy_.load(std::memory_order_acquire);
-    while (comp_bytes_ > opt_.compressed_bytes && !comp_fifo_.empty()) {
-      auto pos = comp_fifo_.begin();
-      if (policy != nullptr) {
-        // Per-tier Belady (DESIGN.md §10/§12): demote the entry with the
-        // farthest next planned use first, FIFO position breaking ties.
-        std::uint64_t worst = 0;
-        for (auto p = comp_fifo_.begin(); p != comp_fifo_.end(); ++p) {
-          const std::uint64_t d = policy->next_use_distance(*p);
-          if (p == comp_fifo_.begin() || d > worst) {
-            worst = d;
-            pos = p;
-          }
-          if (d == EvictionPolicy::kNever) break;
-        }
-      }
+    while (comp_bytes_ > opt_.compressed_bytes) {
+      const auto pos = pick_victim(comp_fifo_, comp_, policy);
       const auto it = comp_.find(*pos);
       comp_bytes_ -= it->second.payload.size();
       comp_bytes_gauge_->add(
@@ -371,18 +511,12 @@ bool TieredCache::insert_compressed(const std::string& path,
       comp_.erase(it);
     }
   }
+  comp_demotes_->inc();
   for (auto& v : victims) {
     comp_evictions_->inc();
-    if (tier2_on_) {
-      if (insert_spill(v.path, v.entry.compressor, v.entry.original_size,
-                       v.entry.plain_crc, as_view(v.entry.payload))) {
-        spill_demotes_->inc();
-      }
-    } else {
-      dropped_->inc();
-    }
+    insert_spill(v.path, v.entry.compressor, v.entry.original_size,
+                 v.entry.plain_crc, as_view(v.entry.payload));
   }
-  return true;
 }
 
 void TieredCache::reclaim_spill_locked(const std::string& path,
@@ -394,36 +528,24 @@ void TieredCache::reclaim_spill_locked(const std::string& path,
   spill_bytes_gauge_->add(-static_cast<std::int64_t>(e.record_bytes));
 }
 
-bool TieredCache::insert_spill(const std::string& path,
+void TieredCache::insert_spill(const std::string& path,
                                compress::CompressorId compressor,
                                std::uint64_t original_size,
                                std::uint32_t plain_crc, ByteView payload) {
   const std::size_t record_bytes = kSpillHeader + payload.size();
   if (record_bytes > opt_.spill_bytes) {
     dropped_->inc();
-    return false;
+    return;
   }
   const Bytes record =
       encode_spill_record(compressor, original_size, plain_crc, payload);
   std::size_t evicted = 0;
   {
     sync::MutexLock lk(spill_mu_);
-    if (spill_.count(path) > 0) return false;  // dedupe
+    if (spill_.count(path) > 0) return;  // dedupe
     const EvictionPolicy* policy = policy_.load(std::memory_order_acquire);
-    while (spill_bytes_ + record_bytes > opt_.spill_bytes &&
-           !spill_fifo_.empty()) {
-      auto pos = spill_fifo_.begin();
-      if (policy != nullptr) {
-        std::uint64_t worst = 0;
-        for (auto p = spill_fifo_.begin(); p != spill_fifo_.end(); ++p) {
-          const std::uint64_t d = policy->next_use_distance(*p);
-          if (p == spill_fifo_.begin() || d > worst) {
-            worst = d;
-            pos = p;
-          }
-          if (d == EvictionPolicy::kNever) break;
-        }
-      }
+    while (spill_bytes_ + record_bytes > opt_.spill_bytes) {
+      const auto pos = pick_victim(spill_fifo_, spill_, policy);
       const auto it = spill_.find(*pos);
       reclaim_spill_locked(*pos, it->second);
       spill_fifo_.erase(pos);
@@ -434,7 +556,7 @@ bool TieredCache::insert_spill(const std::string& path,
     if (posixfs::write_file(*spill_fs_, spill_path(path), as_view(record)) !=
         0) {
       dropped_->inc();  // spill device full/failed: entry falls to cold
-      return false;
+      return;
     }
     SpillEntry e;
     e.record_bytes = record_bytes;
@@ -446,49 +568,11 @@ bool TieredCache::insert_spill(const std::string& path,
     spill_bytes_written_->inc(static_cast<std::uint64_t>(record_bytes));
   }
   spill_evictions_->inc(static_cast<std::uint64_t>(evicted));
-  return true;
+  spill_demotes_->inc();
 }
-
-void TieredCache::release(const std::string& path) {
-  if (!tiers_enabled()) {
-    plain_.release(path);
-    return;
-  }
-  bool compressed_home = false;
-  {
-    sync::MutexLock lk(comp_mu_);
-    const auto it = comp_.find(path);
-    compressed_home = it != comp_.end() && it->second.pinned_home;
-  }
-  if (compressed_home) {
-    // Admit-to-compressed-only: the plain copy must not linger once the
-    // last reader closes — its home is the tier-1 frame. drop() erases at
-    // refcount zero; the demotion hook then dedupes against the resident
-    // tier-1 entry, so no duplicate is created.
-    plain_.drop(path);
-  } else {
-    plain_.release(path);
-  }
-}
-
-void TieredCache::recharge(const std::string& path) { plain_.recharge(path); }
 
 bool TieredCache::contains_any(const std::string& path) const {
-  if (plain_.contains(path)) return true;
-  if (tier1_on_) {
-    sync::MutexLock lk(comp_mu_);
-    if (comp_.count(path) > 0) return true;
-  }
-  if (tier2_on_) {
-    sync::MutexLock lk(spill_mu_);
-    if (spill_.count(path) > 0) return true;
-  }
-  return false;
-}
-
-void TieredCache::set_eviction_policy(const EvictionPolicy* policy) {
-  plain_.set_eviction_policy(policy);
-  policy_.store(policy, std::memory_order_release);
+  return contains(path) || compressed_contains(path) || spill_contains(path);
 }
 
 bool TieredCache::compressed_contains(const std::string& path) const {

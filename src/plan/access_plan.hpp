@@ -9,7 +9,7 @@
 //
 //   * "how far ahead in the schedule is the next use of <path>?"
 //     (core::EvictionPolicy::next_use_distance — exact-future-reuse /
-//     Belady eviction for PlainCache)
+//     Belady eviction for core::TieredCache)
 //   * "which paths come next?" (the PrefetchController's lookahead and
 //     cross-rank staging window)
 //
@@ -29,7 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/cache.hpp"
+#include "core/tiered_cache.hpp"
 #include "obs/metrics.hpp"
 #include "util/rng.hpp"
 

@@ -6,33 +6,48 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <thread>
 #include <vector>
 
 #include "compress/chunked.hpp"
 #include "compress/registry.hpp"
-#include "core/cache.hpp"
 #include "core/tiered_cache.hpp"
+#include "posixfs/mem_vfs.hpp"
 
 namespace fanstore::core {
 namespace {
 
 Bytes blob(std::size_t n, std::uint8_t fill) { return Bytes(n, fill); }
 
-TEST(PlainCacheTest, HitAfterMiss) {
-  PlainCache cache(1024);
-  int loads = 0;
-  auto loader = [&] {
-    ++loads;
-    return blob(100, 1);
+/// Tier 0 alone: both lower-tier budgets are 0, so victims are dropped.
+TieredCache::Options plain_only(std::size_t bytes, std::size_t shards = 0) {
+  TieredCache::Options opt;
+  opt.plain_bytes = bytes;
+  opt.plain_shards = shards;
+  return opt;
+}
+
+/// A cold loader yielding a flat entry of `n` bytes of `fill`, counting its
+/// runs in `*calls` when given.
+TieredCache::ColdLoader flat(std::size_t n, std::uint8_t fill,
+                             int* calls = nullptr) {
+  return [n, fill, calls] {
+    if (calls != nullptr) ++*calls;
+    ColdResult r;
+    r.file = std::make_shared<CachedFile>(blob(n, fill));
+    return r;
   };
-  bool loaded = false;
-  auto a = cache.acquire("f", loader, &loaded);
-  EXPECT_TRUE(loaded);
-  auto b = cache.acquire("f", loader, &loaded);
-  EXPECT_FALSE(loaded);
-  EXPECT_EQ(loads, 1);
+}
+
+TEST(PlainCacheTest, HitAfterMiss) {
+  TieredCache cache(plain_only(1024));
+  int loads = 0;
+  auto a = cache.acquire_file("f", flat(100, 1, &loads));
+  EXPECT_EQ(loads, 1);  // this call ran the loader
+  auto b = cache.acquire_file("f", flat(100, 1, &loads));
+  EXPECT_EQ(loads, 1);  // this one did not
   EXPECT_EQ(a.get(), b.get());
   EXPECT_EQ(cache.metrics().counter("cache.hits").value(), 1u);
   EXPECT_EQ(cache.metrics().counter("cache.misses").value(), 1u);
@@ -41,13 +56,13 @@ TEST(PlainCacheTest, HitAfterMiss) {
 }
 
 TEST(PlainCacheTest, FifoEvictionOrder) {
-  PlainCache cache(250);
-  cache.acquire("a", [] { return blob(100, 1); });
+  TieredCache cache(plain_only(250));
+  cache.acquire_file("a", flat(100, 1));
   cache.release("a");
-  cache.acquire("b", [] { return blob(100, 2); });
+  cache.acquire_file("b", flat(100, 2));
   cache.release("b");
   // Inserting c (100 B) exceeds 250: the oldest unpinned entry (a) goes.
-  cache.acquire("c", [] { return blob(100, 3); });
+  cache.acquire_file("c", flat(100, 3));
   cache.release("c");
   EXPECT_FALSE(cache.contains("a"));
   EXPECT_TRUE(cache.contains("b"));
@@ -57,18 +72,18 @@ TEST(PlainCacheTest, FifoEvictionOrder) {
 
 TEST(PlainCacheTest, PinnedEntriesSurviveEviction) {
   // The paper's FIFO variant: entries opened by an I/O thread are skipped.
-  PlainCache cache(250);
-  auto pin_a = cache.acquire("a", [] { return blob(100, 1); });  // stays pinned
-  cache.acquire("b", [] { return blob(100, 2); });
+  TieredCache cache(plain_only(250));
+  auto pin_a = cache.acquire_file("a", flat(100, 1));  // stays pinned
+  cache.acquire_file("b", flat(100, 2));
   cache.release("b");
-  cache.acquire("c", [] { return blob(100, 3); });  // pressure: must skip "a"
+  cache.acquire_file("c", flat(100, 3));  // pressure: must skip "a"
   cache.release("c");
   EXPECT_TRUE(cache.contains("a"));   // pinned: skipped
   EXPECT_FALSE(cache.contains("b"));  // oldest unpinned: evicted
   EXPECT_TRUE(cache.contains("c"));
   // Releasing "a" under continued pressure allows its eviction.
   cache.release("a");
-  cache.acquire("d", [] { return blob(100, 4); });
+  cache.acquire_file("d", flat(100, 4));
   cache.release("d");
   EXPECT_FALSE(cache.contains("a"));
 }
@@ -76,22 +91,22 @@ TEST(PlainCacheTest, PinnedEntriesSurviveEviction) {
 TEST(PlainCacheTest, MultiReaderCounting) {
   // Fig. 4: the counter tracks concurrent opens; the entry is evictable
   // only when every opener has closed.
-  PlainCache cache(150);
-  cache.acquire("f", [] { return blob(100, 1); });
-  cache.acquire("f", [] { return blob(100, 1); });  // second reader
-  cache.release("f");                               // one closes
-  cache.acquire("g", [] { return blob(100, 2); });  // pressure
+  TieredCache cache(plain_only(150));
+  cache.acquire_file("f", flat(100, 1));
+  cache.acquire_file("f", flat(100, 1));  // second reader
+  cache.release("f");                     // one closes
+  cache.acquire_file("g", flat(100, 2));  // pressure
   cache.release("g");
   EXPECT_TRUE(cache.contains("f"));  // still pinned by reader #2
   cache.release("f");
-  cache.acquire("h", [] { return blob(100, 3); });
+  cache.acquire_file("h", flat(100, 3));
   cache.release("h");
   EXPECT_FALSE(cache.contains("f"));
 }
 
 TEST(PlainCacheTest, OversizedEntryAdmittedWhilePinned) {
-  PlainCache cache(50);
-  auto pin = cache.acquire("big", [] { return blob(500, 9); });
+  TieredCache cache(plain_only(50));
+  auto pin = cache.acquire_file("big", flat(500, 9));
   EXPECT_EQ(pin->size(), 500u);
   EXPECT_TRUE(cache.contains("big"));
   cache.release("big");
@@ -100,26 +115,29 @@ TEST(PlainCacheTest, OversizedEntryAdmittedWhilePinned) {
 }
 
 TEST(PlainCacheTest, LoaderFailureIsNotCached) {
-  PlainCache cache(1000);
-  EXPECT_THROW(cache.acquire("f", []() -> Bytes { throw std::runtime_error("io"); }),
+  TieredCache cache(plain_only(1000));
+  EXPECT_THROW(cache.acquire_file("f",
+                                  []() -> ColdResult {
+                                    throw std::runtime_error("io");
+                                  }),
                std::runtime_error);
   EXPECT_FALSE(cache.contains("f"));
   // A later successful load works.
-  auto ok = cache.acquire("f", [] { return blob(10, 1); });
+  auto ok = cache.acquire_file("f", flat(10, 1));
   EXPECT_EQ(ok->size(), 10u);
   cache.release("f");
 }
 
 TEST(PlainCacheTest, ReleaseUnknownPathIsNoop) {
-  PlainCache cache(100);
+  TieredCache cache(plain_only(100));
   cache.release("ghost");
   SUCCEED();
 }
 
 TEST(PlainCacheTest, BytesUsedTracksContents) {
-  PlainCache cache(1000);
-  cache.acquire("a", [] { return blob(300, 1); });
-  cache.acquire("b", [] { return blob(200, 2); });
+  TieredCache cache(plain_only(1000));
+  cache.acquire_file("a", flat(300, 1));
+  cache.acquire_file("b", flat(200, 2));
   EXPECT_EQ(cache.bytes_used(), 500u);
   cache.release("a");
   cache.release("b");
@@ -127,14 +145,14 @@ TEST(PlainCacheTest, BytesUsedTracksContents) {
 }
 
 TEST(PlainCacheTest, ConcurrentAcquireReleaseIsSafe) {
-  PlainCache cache(10 * 1024);
+  TieredCache cache(plain_only(10 * 1024));
   std::vector<std::thread> threads;
   std::atomic<int> failures{0};
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 500; ++i) {
         const std::string path = "f" + std::to_string((t + i) % 20);
-        auto data = cache.acquire(path, [&] { return blob(512, 7); });
+        auto data = cache.acquire_file(path, flat(512, 7));
         if (data->size() != 512) failures++;
         cache.release(path);
       }
@@ -148,7 +166,7 @@ TEST(PlainCacheTest, ConcurrentAcquireReleaseIsSafe) {
 // --- Sharding -----------------------------------------------------------
 
 // Returns `count` distinct paths that all hash into `shard`.
-std::vector<std::string> paths_in_shard(const PlainCache& cache,
+std::vector<std::string> paths_in_shard(const TieredCache& cache,
                                         std::size_t shard, std::size_t count) {
   std::vector<std::string> out;
   for (int i = 0; out.size() < count; ++i) {
@@ -159,27 +177,27 @@ std::vector<std::string> paths_in_shard(const PlainCache& cache,
 }
 
 TEST(ShardedCacheTest, SmallCapacityDegeneratesToOneShard) {
-  PlainCache cache(1024);  // < 1 MiB: exactly the classic single pool
+  TieredCache cache(plain_only(1024));  // < 1 MiB: exactly the classic pool
   EXPECT_EQ(cache.shard_count(), 1u);
 }
 
 TEST(ShardedCacheTest, ShardCountRoundsUpToPowerOfTwo) {
-  PlainCache cache(64 << 20, 5);
+  TieredCache cache(plain_only(64 << 20, 5));
   EXPECT_EQ(cache.shard_count(), 8u);
 }
 
 TEST(ShardedCacheTest, CapacityEnforcedPerShardAndGlobally) {
-  PlainCache cache(4096, 4);  // 1024 B budget per shard
+  TieredCache cache(plain_only(4096, 4));  // 1024 B budget per shard
   ASSERT_EQ(cache.shard_count(), 4u);
   // Overfill shard 0: the third 400 B entry pushes past its 1024 B budget
   // and must evict that shard's oldest unpinned entry...
   const auto in0 = paths_in_shard(cache, 0, 3);
   // ...while an entry in another shard feels no pressure at all.
   const auto other = paths_in_shard(cache, 1, 1);
-  cache.acquire(other[0], [] { return blob(400, 9); });
+  cache.acquire_file(other[0], flat(400, 9));
   cache.release(other[0]);
   for (const auto& p : in0) {
-    cache.acquire(p, [] { return blob(400, 1); });
+    cache.acquire_file(p, flat(400, 1));
     cache.release(p);
   }
   EXPECT_FALSE(cache.contains(in0[0]));  // oldest in shard 0: evicted
@@ -191,11 +209,11 @@ TEST(ShardedCacheTest, CapacityEnforcedPerShardAndGlobally) {
 }
 
 TEST(ShardedCacheTest, PinnedEntriesSkipEvictionAcrossShards) {
-  PlainCache cache(4096, 4);
+  TieredCache cache(plain_only(4096, 4));
   const auto in0 = paths_in_shard(cache, 0, 3);
-  auto pin = cache.acquire(in0[0], [] { return blob(400, 1); });  // stays pinned
+  auto pin = cache.acquire_file(in0[0], flat(400, 1));  // stays pinned
   for (std::size_t i = 1; i < in0.size(); ++i) {
-    cache.acquire(in0[i], [] { return blob(400, 2); });
+    cache.acquire_file(in0[i], flat(400, 2));
     cache.release(in0[i]);
   }
   EXPECT_TRUE(cache.contains(in0[0]));   // pinned: skipped under pressure
@@ -205,9 +223,9 @@ TEST(ShardedCacheTest, PinnedEntriesSkipEvictionAcrossShards) {
 }
 
 TEST(ShardedCacheTest, OversizedPinnedEntryEvictedOnRelease) {
-  PlainCache cache(4096, 4);  // 1024 B budget per shard
+  TieredCache cache(plain_only(4096, 4));  // 1024 B budget per shard
   const auto p = paths_in_shard(cache, 2, 1);
-  auto pin = cache.acquire(p[0], [] { return blob(3000, 7); });
+  auto pin = cache.acquire_file(p[0], flat(3000, 7));
   EXPECT_TRUE(cache.contains(p[0]));  // over budget but pinned: admitted
   cache.release(p[0]);
   EXPECT_FALSE(cache.contains(p[0]));  // evicted the moment the pin drops
@@ -215,10 +233,10 @@ TEST(ShardedCacheTest, OversizedPinnedEntryEvictedOnRelease) {
 }
 
 TEST(ShardedCacheTest, OpenCountTracksPins) {
-  PlainCache cache(4096);
+  TieredCache cache(plain_only(4096));
   EXPECT_EQ(cache.open_count("f"), 0);
-  cache.acquire("f", [] { return blob(10, 1); });
-  cache.acquire("f", [] { return blob(10, 1); });
+  cache.acquire_file("f", flat(10, 1));
+  cache.acquire_file("f", flat(10, 1));
   EXPECT_EQ(cache.open_count("f"), 2);
   cache.release("f");
   EXPECT_EQ(cache.open_count("f"), 1);
@@ -234,17 +252,19 @@ TEST(ShardedCacheTest, OpenCountTracksPins) {
 // pool. Under single-flight the loader must run exactly once however many
 // threads race the miss.
 TEST(SingleFlightTest, LoaderRunsOnceUnderConcurrentAcquires) {
-  PlainCache cache(1 << 20);
+  TieredCache cache(plain_only(1 << 20));
   std::atomic<int> loader_runs{0};
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
-  std::vector<std::shared_ptr<const Bytes>> results(kThreads);
+  std::vector<std::shared_ptr<CachedFile>> results(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      results[static_cast<std::size_t>(t)] = cache.acquire("hot", [&] {
+      results[static_cast<std::size_t>(t)] = cache.acquire_file("hot", [&] {
         loader_runs.fetch_add(1);
         std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        return blob(4096, 5);
+        ColdResult r;
+        r.file = std::make_shared<CachedFile>(blob(4096, 5));
+        return r;
       });
     });
   }
@@ -264,14 +284,14 @@ TEST(SingleFlightTest, LoaderRunsOnceUnderConcurrentAcquires) {
 }
 
 TEST(SingleFlightTest, LoaderFailurePropagatesToAllWaiters) {
-  PlainCache cache(1 << 20);
+  TieredCache cache(plain_only(1 << 20));
   std::atomic<int> loader_runs{0};
   std::atomic<int> caught{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 6; ++t) {
     threads.emplace_back([&] {
       try {
-        cache.acquire("bad", [&]() -> Bytes {
+        cache.acquire_file("bad", [&]() -> ColdResult {
           loader_runs.fetch_add(1);
           std::this_thread::sleep_for(std::chrono::milliseconds(10));
           throw std::runtime_error("io");
@@ -289,39 +309,78 @@ TEST(SingleFlightTest, LoaderFailurePropagatesToAllWaiters) {
   EXPECT_GE(loader_runs.load(), 1);
   EXPECT_FALSE(cache.contains("bad"));
   // A later successful load still works.
-  auto ok = cache.acquire("bad", [] { return blob(10, 1); });
+  auto ok = cache.acquire_file("bad", flat(10, 1));
   EXPECT_EQ(ok->size(), 10u);
   cache.release("bad");
 }
 
 // ---- Tiered cache (DESIGN.md §12) --------------------------------------
 
-TEST(DemotionHookTest, EvictedVictimsFlowToHookAfterUnlock) {
-  PlainCache cache(250);
-  std::vector<std::string> demoted;
-  cache.set_demotion_hook(
-      [&](const std::string& path, const std::shared_ptr<CachedFile>& file) {
-        ASSERT_NE(file, nullptr);
-        // The hook may re-enter the cache: no shard lock is held here.
-        EXPECT_FALSE(cache.contains(path));
-        demoted.push_back(path);
-      });
-  cache.acquire("a", [] { return blob(100, 1); });
+// A spill device that runs `on_write` at every write-open, before the
+// inner MemVfs takes its own lock. Demotions write through it, so the
+// probe observes the cache from inside a demotion.
+class ProbingVfs final : public posixfs::Vfs {
+ public:
+  std::function<void()> on_write;
+
+  int open(std::string_view path, posixfs::OpenMode mode) override {
+    if (mode == posixfs::OpenMode::kWrite && on_write) on_write();
+    return inner_.open(path, mode);
+  }
+  int close(int fd) override { return inner_.close(fd); }
+  std::int64_t read(int fd, MutByteView buf) override {
+    return inner_.read(fd, buf);
+  }
+  std::int64_t write(int fd, ByteView buf) override {
+    return inner_.write(fd, buf);
+  }
+  std::int64_t lseek(int fd, std::int64_t offset,
+                     posixfs::Whence whence) override {
+    return inner_.lseek(fd, offset, whence);
+  }
+  int stat(std::string_view path, format::FileStat* out) override {
+    return inner_.stat(path, out);
+  }
+  int opendir(std::string_view path) override { return inner_.opendir(path); }
+  std::optional<posixfs::Dirent> readdir(int dir_handle) override {
+    return inner_.readdir(dir_handle);
+  }
+  int closedir(int dir_handle) override { return inner_.closedir(dir_handle); }
+
+ private:
+  posixfs::MemVfs inner_;
+};
+
+TEST(TieredCacheTest, EvictedVictimsDemoteAfterUnlock) {
+  ProbingVfs device;
+  TieredCache::Options opt = plain_only(250);
+  opt.spill_bytes = 10000;
+  opt.spill_fs = &device;
+  TieredCache cache(opt);
+  std::vector<bool> victim_in_plain_tier;
+  device.on_write = [&] {
+    // The demotion may re-enter the cache: no shard lock is held here, and
+    // the victim has already left tier 0.
+    victim_in_plain_tier.push_back(cache.contains("a"));
+  };
+  cache.acquire_file("a", flat(100, 1));
   cache.release("a");
-  cache.acquire("b", [] { return blob(100, 2); });
+  cache.acquire_file("b", flat(100, 2));
   cache.release("b");
-  cache.acquire("c", [] { return blob(100, 3); });  // pressure: evicts "a"
+  cache.acquire_file("c", flat(100, 3));  // pressure: evicts "a"
   cache.release("c");
-  ASSERT_EQ(demoted.size(), 1u);
-  EXPECT_EQ(demoted[0], "a");
-  // drop() fires the hook too once the pin count reaches zero.
-  cache.drop("b");
-  ASSERT_EQ(demoted.size(), 2u);
-  EXPECT_EQ(demoted[1], "b");
-  EXPECT_FALSE(cache.contains("b"));
-  // The hook received usable bytes, not a husk.
-  // drop() is not an eviction.
-  EXPECT_EQ(cache.metrics().counter("cache.evictions").value(), 1u);
+  ASSERT_EQ(victim_in_plain_tier.size(), 1u);
+  EXPECT_FALSE(victim_in_plain_tier[0]);
+  // The victim was "a", and its usable bytes reached the next tier.
+  EXPECT_TRUE(cache.spill_contains("a"));
+  EXPECT_FALSE(cache.spill_contains("b"));
+  auto fa = cache.acquire_file("a", flat(100, 9));
+  EXPECT_EQ(fa->plain(), blob(100, 1));
+  cache.release("a");
+  // cache.evictions counts tier-0 evictions only: the spill hit's
+  // re-admission evicted "b", and the spill write is not an eviction.
+  EXPECT_EQ(cache.metrics().counter("cache.evictions").value(), 2u);
+  EXPECT_EQ(cache.metrics().counter("tier.spill.demotes").value(), 2u);
 }
 
 /// A chunked cold object for tier tests: constant fill compresses well, so
@@ -382,7 +441,7 @@ TEST(TieredCacheTest, DemoteToCompressedHitAndPromoteOnSecondHit) {
   acquire_hot(tc, "b", cold_of(b, &cold_b));  // recharge evicts "a" → tier 1
   tc.release("b");
   EXPECT_TRUE(tc.compressed_contains("a"));
-  EXPECT_FALSE(tc.plain().contains("a"));
+  EXPECT_FALSE(tc.contains("a"));
   EXPECT_EQ(m.counter("tier.compressed.demotes").value(), 1u);
   EXPECT_EQ(tc.compressed_bytes_used(), a.compressed.size());
 
@@ -489,35 +548,6 @@ TEST(TieredCacheTest, CompressedOverflowSpillsOldestFrame) {
   tc.release("a");
 }
 
-TEST(TieredCacheTest, AdmitToCompressedOnlyDropsPlainCopyAtLastClose) {
-  const auto a = make_chunked(7);
-  TieredCache::Options opt;
-  opt.plain_bytes = 1 << 20;
-  opt.compressed_bytes = 1 << 20;
-  opt.plain_admit_max_bytes = 1;  // everything is "large": compressed-only
-  opt.promote_after_hits = 2;
-  TieredCache tc(opt);
-  int cold_calls = 0;
-  auto f = tc.acquire_file("a", cold_of(a, &cold_calls));
-  // Write-through admission happened at load time.
-  EXPECT_TRUE(tc.compressed_contains("a"));
-  EXPECT_TRUE(tc.plain().contains("a"));  // pinned for this open
-  tc.release("a");
-  // Last close: the plain copy is dropped — the compressed frame is home.
-  EXPECT_FALSE(tc.plain().contains("a"));
-  EXPECT_TRUE(tc.compressed_contains("a"));
-  // Repeated hits re-decode from tier 1 and never promote it away.
-  for (int i = 0; i < 3; ++i) {
-    auto g = acquire_hot(tc, "a", cold_of(a, &cold_calls));
-    EXPECT_EQ(g->plain(), a.plain);
-    tc.release("a");
-    EXPECT_TRUE(tc.compressed_contains("a"));
-    EXPECT_FALSE(tc.plain().contains("a"));
-  }
-  EXPECT_EQ(cold_calls, 1);
-  EXPECT_EQ(tc.metrics().counter("tier.compressed.admits").value(), 1u);
-}
-
 class MapPolicy : public EvictionPolicy {
  public:
   std::map<std::string, std::uint64_t> distance;
@@ -562,27 +592,43 @@ TEST(TieredCacheTest, BeladyPolicyAppliesPerTier) {
   tc.set_eviction_policy(nullptr);
 }
 
-TEST(TieredCacheTest, NoTierBudgetsIsPassThrough) {
-  TieredCache::Options opt;
-  opt.plain_bytes = 250;
-  TieredCache tc(opt);
-  EXPECT_FALSE(tc.tiers_enabled());
+TEST(TieredCacheTest, ZeroBudgetTiersDropVictimsAndKeepIdentity) {
+  // Compressed = spill = 0: every lower tier holds nothing, so each tier-0
+  // victim — flat or chunked — is dropped and counted, and the accounting
+  // identities hold exactly as in a configuration with lower tiers.
+  TieredCache tc(plain_only(40000));
+  const auto c1 = make_chunked(1);
+  const auto c2 = make_chunked(2);
   int cold_calls = 0;
-  auto f = tc.acquire_file("a", [&] {
-    ++cold_calls;
-    ColdResult r;
-    r.file = std::make_shared<CachedFile>(blob(100, 1));
-    return r;
-  });
-  EXPECT_EQ(f->plain(), blob(100, 1));
-  tc.release("a");
-  EXPECT_EQ(cold_calls, 1);
-  // No tier metric was registered — the registry is untouched beyond the
-  // classic "cache.*" family.
-  const auto snap = tc.metrics().snapshot();
-  for (const auto& s : snap.entries) {
-    EXPECT_TRUE(s.name.rfind("tier.", 0) != 0) << s.name;
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 6; ++i) {
+      const std::string path = "f" + std::to_string(i);
+      tc.acquire_file(path, flat(10000, static_cast<std::uint8_t>(i),
+                                 &cold_calls));
+      tc.release(path);
+    }
+    tc.acquire_file("f5", flat(10000, 5, &cold_calls));  // a plain hit
+    tc.release("f5");
+    acquire_hot(tc, "c1", cold_of(c1, &cold_calls));
+    tc.release("c1");
+    acquire_hot(tc, "c2", cold_of(c2, &cold_calls));
+    tc.release("c2");
   }
+  const auto m = tc.metrics().snapshot();
+  ASSERT_NE(m.find("tier.dropped"), nullptr);  // tier metrics always exist
+  EXPECT_GT(m.counter("cache.evictions"), 0u);
+  EXPECT_EQ(m.counter("tier.dropped"), m.counter("cache.evictions"));
+  EXPECT_EQ(m.counter("tier.compressed.demotes"), 0u);
+  EXPECT_EQ(m.counter("tier.spill.demotes"), 0u);
+  EXPECT_EQ(tc.compressed_bytes_used(), 0u);
+  EXPECT_EQ(tc.spill_bytes_used(), 0u);
+  EXPECT_EQ(m.counter("cache.misses"),
+            m.counter("tier.compressed.hits") + m.counter("tier.spill.hits") +
+                m.counter("tier.peer.hits") + m.counter("tier.cold.loads"));
+  EXPECT_EQ(m.counter("tier.cold.loads"),
+            static_cast<std::uint64_t>(cold_calls));
+  EXPECT_GT(m.counter("cache.hits"), 0u);
+  EXPECT_EQ(m.counter("tier.plain.hits"), m.counter("cache.hits"));
 }
 
 }  // namespace

@@ -89,7 +89,7 @@ TEST(ChaosSoakTest, SeededTrainingSoakSeesEveryFileOncePerEpoch) {
         core::Instance inst(comm, opt);
         const auto manifest = prep::load_manifest(shared, "packed");
         inst.load_from_shared(shared, manifest.partition_paths());
-        inst.replicate_ring(1);
+        inst.replicate_ring(shared, manifest.partition_paths(), 1);
         inst.exchange_metadata();
         inst.start_daemon();
         comm.barrier();

@@ -95,7 +95,7 @@ std::map<std::string, Bytes> read_all_under(posixfs::MemVfs& shared, int nfiles,
         core::Instance inst(comm, opt);
         const auto manifest = prep::load_manifest(shared, "packed");
         inst.load_from_shared(shared, manifest.partition_paths());
-        inst.replicate_ring(1);
+        inst.replicate_ring(shared, manifest.partition_paths(), 1);
         inst.exchange_metadata();
         inst.start_daemon();
         comm.barrier();
@@ -532,7 +532,7 @@ TEST(ChaosTest, SpillTierKeepsCacheIntactAcrossDaemonRestart) {
               ASSERT_TRUE(got.has_value()) << "warm read f" << i;
               ASSERT_EQ(*got, contents[static_cast<std::size_t>(i)]);
             }
-            ASSERT_TRUE(inst.fs().tiers().spill_contains("f0"));
+            ASSERT_TRUE(inst.fs().cache().spill_contains("f0"));
           }
           comm.barrier();
           inj.kill_daemon(1);
@@ -559,8 +559,8 @@ TEST(ChaosTest, SpillTierKeepsCacheIntactAcrossDaemonRestart) {
             EXPECT_EQ(*got, never_content);
             // Restart did not disturb spilled state: another spilled file
             // still round-trips from its local record.
-            ASSERT_TRUE(inst.fs().tiers().spill_contains("f1") ||
-                        inst.fs().tiers().spill_contains("f2"));
+            ASSERT_TRUE(inst.fs().cache().spill_contains("f1") ||
+                        inst.fs().cache().spill_contains("f2"));
             const auto f1 = posixfs::read_file(inst.fs(), "f1");
             ASSERT_TRUE(f1.has_value());
             EXPECT_EQ(*f1, contents[1]);

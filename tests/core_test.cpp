@@ -392,7 +392,7 @@ TEST(FanStoreIntegrationTest, FullSharedFsFlowWithRingReplication) {
     ASSERT_EQ(manifest.partitions.size(), 4u);
     Instance inst(comm, {});
     inst.load_from_shared(shared, manifest.partition_paths());
-    inst.replicate_ring(1);
+    inst.replicate_ring(shared, manifest.partition_paths(), 1);
     inst.exchange_metadata();
     inst.start_daemon();
     comm.barrier();

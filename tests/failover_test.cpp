@@ -95,7 +95,7 @@ TEST(FailoverTest, FetchFailsCleanlyWithNoReplica) {
 }
 
 TEST(FailoverTest, RingReplicationPlusFailoverEndToEnd) {
-  // Full flow: prep -> load_from_shared -> replicate_ring(1); then one
+  // Full flow: prep -> load_from_shared -> replicate_ring; then one
   // daemon "dies" and its files remain readable from the successor.
   posixfs::MemVfs shared;
   {
@@ -117,7 +117,7 @@ TEST(FailoverTest, RingReplicationPlusFailoverEndToEnd) {
     core::Instance inst(comm, opt);
     const auto manifest = prep::load_manifest(shared, "packed");
     inst.load_from_shared(shared, manifest.partition_paths());
-    inst.replicate_ring(1);
+    inst.replicate_ring(shared, manifest.partition_paths(), 1);
     inst.exchange_metadata();
     if (comm.rank() != kDead) inst.start_daemon();
     comm.barrier();
@@ -198,7 +198,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(FailoverTest, CrcRejectedReplyNeverLandsInCacheOrDecodeStats) {
   // Replies from the owner are corrupted in flight until the fault budget
   // (2) runs out. The rejected replies must leave no trace: nothing in the
-  // PlainCache, no chunk decoded, no DecodeStats charge — only
+  // plain cache tier, no chunk decoded, no DecodeStats charge — only
   // retry.crc_rejects. Once the budget is spent, the same open succeeds.
   const Bytes data = testdata::runs_and_noise(9000, 77);
   const auto& reg = compress::Registry::instance();

@@ -443,7 +443,7 @@ TEST(MembershipChurnTest, KillThenAddFreshMemberGivesExactlyOnceEpochCoverage) {
   constexpr int kEpochs = 2;
   constexpr int kTrainTag = 700;
   // Real startup flow: prep the dataset into partitions on a shared FS so
-  // load_from_shared + replicate_ring(1) place data replicas one rank
+  // load_from_shared + replicate_ring place data replicas one rank
   // around the ring (the kill below needs rank 1's data reachable via
   // failover to rank 2).
   posixfs::MemVfs shared;
@@ -485,7 +485,7 @@ TEST(MembershipChurnTest, KillThenAddFreshMemberGivesExactlyOnceEpochCoverage) {
         // it joins and rebalance pushes those shards to their owners.
         const auto manifest = prep::load_manifest(shared, "packed");
         inst.load_from_shared(shared, manifest.partition_paths());
-        inst.replicate_ring(1);
+        inst.replicate_ring(shared, manifest.partition_paths(), 1);
         inst.exchange_metadata();
         inst.start_daemon();
         comm.barrier();

@@ -696,6 +696,16 @@ TEST(ObsGoldenTest, TwoRankTrainerMetricInvariants) {
     EXPECT_EQ(snap.counter("fs.remote_fetches"), kFilesPerRank);
     EXPECT_EQ(snap.counter("fs.failovers"), 0u);
 
+    // The tier identities hold with no lower-tier budget too: every miss
+    // resolved in exactly one tier below, and every hit was a plain hit.
+    EXPECT_EQ(snap.counter("cache.misses"),
+              snap.counter("tier.compressed.hits") +
+                  snap.counter("tier.spill.hits") +
+                  snap.counter("tier.peer.hits") +
+                  snap.counter("tier.cold.loads"));
+    EXPECT_EQ(snap.counter("tier.peer.hits"), kFilesPerRank);
+    EXPECT_EQ(snap.counter("tier.plain.hits"), snap.counter("cache.hits"));
+
     // Wire bytes match the peer partition's compressed sizes, on both ends
     // of each transfer: my fetch accounting and the peer daemon's serve
     // accounting.

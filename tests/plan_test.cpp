@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "compress/registry.hpp"
-#include "core/cache.hpp"
 #include "core/instance.hpp"
+#include "core/tiered_cache.hpp"
 #include "dlsim/prefetcher.hpp"
 #include "dlsim/trainer.hpp"
 #include "format/partition.hpp"
@@ -30,9 +30,28 @@ namespace fanstore {
 namespace {
 
 using core::EvictionPolicy;
-using core::PlainCache;
+using core::TieredCache;
 
 Bytes blob(std::size_t n, std::uint8_t fill) { return Bytes(n, fill); }
+
+/// The plain tier alone (lower budgets 0), on `metrics` when given.
+TieredCache::Options plain_tier(std::size_t bytes, std::size_t shards,
+                                obs::MetricsRegistry* metrics = nullptr) {
+  TieredCache::Options opt;
+  opt.plain_bytes = bytes;
+  opt.plain_shards = shards;
+  opt.metrics = metrics;
+  return opt;
+}
+
+/// A cold loader yielding `n` flat bytes of `fill`.
+TieredCache::ColdLoader flat(std::size_t n, std::uint8_t fill) {
+  return [n, fill] {
+    core::ColdResult r;
+    r.file = std::make_shared<core::CachedFile>(Bytes(n, fill));
+    return r;
+  };
+}
 
 // ---------------------------------------------------------------------------
 // AccessPlan vs. the real trainer
@@ -177,7 +196,7 @@ TEST(AccessPlanTest, HottestRanksByAccessCount) {
 }
 
 // ---------------------------------------------------------------------------
-// Belady eviction in PlainCache
+// Belady eviction in the plain tier
 
 /// Runs `seq` through a fresh 100-byte-entry cache of `capacity_files`
 /// entries, optionally under a plan built from the same sequence, and
@@ -185,11 +204,11 @@ TEST(AccessPlanTest, HottestRanksByAccessCount) {
 std::uint64_t trace_hits(const std::vector<std::string>& seq,
                          std::size_t capacity_files, bool belady) {
   obs::MetricsRegistry metrics;
-  PlainCache cache(capacity_files * 100, /*shards=*/1, &metrics);
+  TieredCache cache(plain_tier(capacity_files * 100, /*shards=*/1, &metrics));
   plan::AccessPlan ap(seq, &metrics);
   if (belady) cache.set_eviction_policy(&ap);
   for (const auto& p : seq) {
-    cache.acquire(p, [] { return Bytes(100, 1); });
+    cache.acquire_file(p, flat(100, 1));
     cache.release(p);
     ap.record_access(p);
   }
@@ -238,11 +257,11 @@ TEST(BeladyEvictionTest, AtLeastFifoOnRandomSequences) {
 
 TEST(BeladyEvictionTest, PlanEvictionCounterTracksPolicyEvictions) {
   obs::MetricsRegistry metrics;
-  PlainCache cache(200, 1, &metrics);
+  TieredCache cache(plain_tier(200, 1, &metrics));
   plan::AccessPlan ap(std::vector<std::string>{"a", "b", "c"}, &metrics);
   cache.set_eviction_policy(&ap);
   for (const auto* p : {"a", "b", "c"}) {
-    cache.acquire(p, [] { return Bytes(100, 1); });
+    cache.acquire_file(p, flat(100, 1));
     cache.release(p);
     ap.record_access(p);
   }
@@ -255,15 +274,15 @@ TEST(BeladyEvictionTest, PlanEvictionCounterTracksPolicyEvictions) {
 TEST(BeladyEvictionTest, NoPolicyKeepsClassicFifo) {
   // Install-then-clear must restore the exact FIFO trace (the acceptance
   // criterion that an unplanned cache behaves byte-identically).
-  PlainCache cache(250, 1);
+  TieredCache cache(plain_tier(250, 1));
   plan::AccessPlan ap(std::vector<std::string>{"z"});
   cache.set_eviction_policy(&ap);
   cache.set_eviction_policy(nullptr);
-  cache.acquire("a", [] { return Bytes(100, 1); });
+  cache.acquire_file("a", flat(100, 1));
   cache.release("a");
-  cache.acquire("b", [] { return Bytes(100, 2); });
+  cache.acquire_file("b", flat(100, 2));
   cache.release("b");
-  cache.acquire("c", [] { return Bytes(100, 3); });
+  cache.acquire_file("c", flat(100, 3));
   cache.release("c");
   EXPECT_FALSE(cache.contains("a"));  // FIFO evicts the oldest, not "z" logic
   EXPECT_TRUE(cache.contains("b"));
@@ -272,15 +291,15 @@ TEST(BeladyEvictionTest, NoPolicyKeepsClassicFifo) {
 
 TEST(BeladyEvictionTest, PinnedEntriesSurvivePolicyEviction) {
   obs::MetricsRegistry metrics;
-  PlainCache cache(250, 1, &metrics);
+  TieredCache cache(plain_tier(250, 1, &metrics));
   // "a" is never used again per the plan — prime eviction bait — but it is
   // pinned, so pressure must pick "b" (the farthest *unpinned*) instead.
   plan::AccessPlan ap(std::vector<std::string>{"c", "b", "c"}, &metrics);
   cache.set_eviction_policy(&ap);
-  auto pin_a = cache.acquire("a", [] { return Bytes(100, 1); });
-  cache.acquire("b", [] { return Bytes(100, 2); });
+  auto pin_a = cache.acquire_file("a", flat(100, 1));
+  cache.acquire_file("b", flat(100, 2));
   cache.release("b");
-  cache.acquire("c", [] { return Bytes(100, 3); });
+  cache.acquire_file("c", flat(100, 3));
   cache.release("c");
   EXPECT_TRUE(cache.contains("a"));
   EXPECT_FALSE(cache.contains("b"));
@@ -304,7 +323,7 @@ TEST(BeladyEvictionTest, ConcurrentOpensWhilePlanAdvances) {
     }
   }
   plan::AccessPlan ap(seq, &metrics);
-  PlainCache cache(8 * 100, /*shards=*/4, &metrics);
+  TieredCache cache(plain_tier(8 * 100, /*shards=*/4, &metrics));
   cache.set_eviction_policy(&ap);
 
   std::atomic<bool> stop{false};
@@ -314,7 +333,7 @@ TEST(BeladyEvictionTest, ConcurrentOpensWhilePlanAdvances) {
       Rng rng(1000 + static_cast<std::uint64_t>(t));
       while (!stop.load(std::memory_order_relaxed)) {
         const std::string p = "s" + std::to_string(rng.next_below(kPaths));
-        cache.acquire(p, [] { return Bytes(100, 7); });
+        cache.acquire_file(p, flat(100, 7));
         cache.release(p);
       }
     });

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,7 +16,6 @@
 #include "cluster/node.hpp"
 #include "compress/chunked.hpp"
 #include "compress/registry.hpp"
-#include "core/cache.hpp"
 #include "format/partition.hpp"
 #include "core/instance.hpp"
 #include "core/tiered_cache.hpp"
@@ -33,10 +33,34 @@
 namespace fanstore {
 namespace {
 
+/// The plain tier alone: both lower-tier budgets are 0.
+core::TieredCache::Options plain_tier(std::size_t bytes,
+                                      std::size_t shards = 0) {
+  core::TieredCache::Options opt;
+  opt.plain_bytes = bytes;
+  opt.plain_shards = shards;
+  return opt;
+}
+
+/// A cold loader yielding 4 KiB tagged with `path`'s last byte, counting
+/// its runs in `runs` after sleeping `delay`.
+core::TieredCache::ColdLoader tagged_4k(const std::string& path,
+                                        std::atomic<int>& runs,
+                                        std::chrono::microseconds delay = {}) {
+  return [&path, &runs, delay] {
+    runs.fetch_add(1);
+    if (delay.count() > 0) std::this_thread::sleep_for(delay);
+    core::ColdResult r;
+    r.file = std::make_shared<core::CachedFile>(
+        Bytes(4096, static_cast<std::uint8_t>(path.back())));
+    return r;
+  };
+}
+
 TEST(RaceStressTest, CacheInsertEvictLookup) {
   // 32 distinct 4 KiB entries against a 64 KiB pool: eviction is constantly
   // active while other threads acquire, release, and probe.
-  core::PlainCache cache(64 * 1024);
+  core::TieredCache cache(plain_tier(64 * 1024));
   constexpr int kThreads = 8;
   constexpr int kIters = 300;
   std::atomic<int> loader_runs{0};
@@ -45,12 +69,10 @@ TEST(RaceStressTest, CacheInsertEvictLookup) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kIters; ++i) {
         const std::string path = "f" + std::to_string((t * 7 + i) % 32);
-        const auto data = cache.acquire(path, [&] {
-          loader_runs.fetch_add(1);
-          return Bytes(4096, static_cast<std::uint8_t>(path.back()));
-        });
+        const auto data =
+            cache.acquire_file(path, tagged_4k(path, loader_runs));
         ASSERT_EQ(data->size(), 4096u);
-        ASSERT_EQ((*data)[0], static_cast<std::uint8_t>(path.back()));
+        ASSERT_EQ(data->plain()[0], static_cast<std::uint8_t>(path.back()));
         if (i % 3 == 0) cache.contains(path);
         if (i % 5 == 0) cache.bytes_used();
         cache.release(path);
@@ -74,7 +96,7 @@ TEST(RaceStressTest, ShardedSingleFlightStress) {
   // forces constant eviction: miss coalescing, shard FIFO pressure, waiter
   // wake-ups, and the introspection calls all interleave densely (the TSan
   // leg of tools/ci.sh runs this with FANSTORE_SANITIZE=thread).
-  core::PlainCache cache(96 * 1024, 8);
+  core::TieredCache cache(plain_tier(96 * 1024, 8));
   ASSERT_EQ(cache.shard_count(), 8u);
   constexpr int kThreads = 8;
   constexpr int kIters = 200;
@@ -86,13 +108,11 @@ TEST(RaceStressTest, ShardedSingleFlightStress) {
         // Low path cardinality: most iterations collide with another
         // thread's in-flight load or pinned entry.
         const std::string path = "hot" + std::to_string((t + i) % 12);
-        const auto data = cache.acquire(path, [&] {
-          loader_runs.fetch_add(1);
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-          return Bytes(4096, static_cast<std::uint8_t>(path.back()));
-        });
+        const auto data = cache.acquire_file(
+            path,
+            tagged_4k(path, loader_runs, std::chrono::microseconds(50)));
         ASSERT_EQ(data->size(), 4096u);
-        ASSERT_EQ((*data)[0], static_cast<std::uint8_t>(path.back()));
+        ASSERT_EQ(data->plain()[0], static_cast<std::uint8_t>(path.back()));
         if (i % 3 == 0) cache.contains(path);
         if (i % 5 == 0) cache.bytes_used();
         if (i % 7 == 0) cache.open_count(path);
@@ -108,6 +128,17 @@ TEST(RaceStressTest, ShardedSingleFlightStress) {
   EXPECT_EQ(loader_runs.load(),
             static_cast<int>(stats.counter("cache.misses")));
   EXPECT_LE(cache.bytes_used(), cache.capacity());
+  // Exact accounting with every pin dropped: each resident path is charged
+  // once and unpinned. A late waiter may re-admit an evicted load while a
+  // new load of the same path is in flight; that load must pin the
+  // re-admitted entry, not charge and queue the path a second time.
+  std::size_t resident = 0;
+  for (int p = 0; p < 12; ++p) {
+    const std::string path = "hot" + std::to_string(p);
+    EXPECT_EQ(cache.open_count(path), 0) << path;
+    if (cache.contains(path)) resident++;
+  }
+  EXPECT_EQ(cache.bytes_used(), resident * 4096);
 }
 
 TEST(RaceStressTest, ChunkedPartialMaterializationRace) {
@@ -124,10 +155,12 @@ TEST(RaceStressTest, ChunkedPartialMaterializationRace) {
   Bytes packed = codec->compress(as_view(original));
   const compress::CompressorId id = reg.id_of(*codec);
 
-  core::PlainCache cache(std::size_t{4} << 20);
+  core::TieredCache cache(plain_tier(std::size_t{4} << 20));
   auto file = cache.acquire_file("big", [&] {
-    return std::make_shared<core::CachedFile>(std::move(packed), id,
-                                              original.size());
+    core::ColdResult r;
+    r.file = std::make_shared<core::CachedFile>(std::move(packed), id,
+                                                original.size());
+    return r;
   });
   ASSERT_EQ(file->chunk_count(), 32u);
 
@@ -197,7 +230,7 @@ TEST(RaceStressTest, TieredPromoteDemoteAcrossShards) {
   opt.spill_bytes = std::size_t{1} << 20;
   opt.promote_after_hits = 1;
   core::TieredCache tc(opt);
-  ASSERT_EQ(tc.plain().shard_count(), 8u);
+  ASSERT_EQ(tc.shard_count(), 8u);
 
   std::atomic<std::uint64_t> cold_loads{0};
   auto cold = [&](int i) -> core::TieredCache::ColdLoader {
@@ -249,7 +282,7 @@ TEST(RaceStressTest, TieredPromoteDemoteAcrossShards) {
   EXPECT_EQ(m.counter("tier.cold.loads").value(), cold_loads.load());
   EXPECT_GE(cold_loads.load(), static_cast<std::uint64_t>(kPaths));
   // With every pin dropped, each tier has settled back under its budget.
-  EXPECT_LE(tc.plain().bytes_used(), tc.plain().capacity());
+  EXPECT_LE(tc.bytes_used(), tc.capacity());
   EXPECT_LE(tc.compressed_bytes_used(), opt.compressed_bytes);
   EXPECT_LE(tc.spill_bytes_used(), opt.spill_bytes);
 }

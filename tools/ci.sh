@@ -11,7 +11,11 @@
 #      + the chaos seed sweep again under TSan
 #   5. clang-tidy over src/ (skipped when clang-tidy is not installed)
 #
-# Usage: tools/ci.sh [--tier1-only]
+# Usage: tools/ci.sh [--tier1-only | --flake-hunt N]
+#
+# --flake-hunt N builds tier-1 and only hunts flaky tests: every test runs
+# up to N times (`ctest --repeat until-fail:N`), over tier-1 and then over
+# each chaos and churn seed, and each failing test is printed with its seed.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -64,6 +68,49 @@ run_churn_seeds() {
     fi
   done
 }
+
+# One flake-hunt pass: `ctest --repeat until-fail:N` plus `$@`, run under
+# whatever seed variable the caller exported. Prints the failing tests and
+# keeps the full log on failure.
+hunt_failed=0
+hunt_pass() {
+  local label="$1" n="$2"
+  shift 2
+  local log
+  log="$(mktemp /tmp/fanstore-flake-hunt.XXXXXX)"
+  echo "==== [flake-hunt] $label: ctest --repeat until-fail:$n ===="
+  if ctest --test-dir build --output-on-failure -j "$jobs" \
+      --repeat "until-fail:$n" "$@" > "$log" 2>&1; then
+    grep -E "tests passed" "$log" || true
+    rm -f "$log"
+  else
+    echo "ci.sh: flake hunt FAILED ($label):" >&2
+    sed -n '/The following tests FAILED/,$p' "$log" >&2
+    echo "ci.sh: full log kept at $log" >&2
+    hunt_failed=1
+  fi
+}
+
+if [ "${1:-}" = "--flake-hunt" ]; then
+  rounds="${2:?usage: tools/ci.sh --flake-hunt N}"
+  cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
+  cmake --build build -j "$jobs"
+  hunt_pass "tier-1" "$rounds"
+  for seed in "${chaos_seeds[@]}"; do
+    FANSTORE_FAULT_SEED="$seed" \
+      hunt_pass "chaos FANSTORE_FAULT_SEED=$seed" "$rounds" -L chaos
+  done
+  for seed in "${churn_seeds[@]}"; do
+    FANSTORE_CHURN_SEED="$seed" \
+      hunt_pass "churn FANSTORE_CHURN_SEED=$seed" "$rounds" -L churn
+  done
+  if [ "$hunt_failed" -ne 0 ]; then
+    echo "ci.sh: flake hunt found failures (see above)" >&2
+    exit 1
+  fi
+  echo "ci.sh: flake hunt green ($rounds runs per test)"
+  exit 0
+fi
 
 run_pass "tier-1" build -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 
