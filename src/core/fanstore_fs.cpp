@@ -385,10 +385,35 @@ int FanStoreFs::open(std::string_view path_in, posixfs::OpenMode mode) {
     cache_.release(path);
     return -EIO;
   }
+  return add_reader(path, std::move(pinned), timer);
+}
+
+int FanStoreFs::open_nowait(std::string_view path_in) {
+  WallTimer timer;
+  const std::string path = posixfs::normalize_path(path_in);
+  if (path.empty()) return -EINVAL;
+  const auto stat = meta_->lookup(path);
+  if (!stat && options_.meta_resolver != nullptr) return -EAGAIN;
+  std::shared_ptr<CachedFile> pinned;
+  if (stat && stat->type != format::FileType::kDirectory) {
+    pinned = cache_.try_acquire(path);
+    if (pinned == nullptr) return -EAGAIN;  // miss, loading, or undecoded
+  }
+  // From here on this is open(): same span, charges and answers.
+  obs::TraceSpan span("fs.open", options_.clock);
+  charge_metadata();
+  if (!stat) return -ENOENT;
+  if (stat->type == format::FileType::kDirectory) return -EISDIR;
+  charge(options_.cost.read_path.per_op_s);
+  return add_reader(path, std::move(pinned), timer);
+}
+
+int FanStoreFs::add_reader(std::string path, std::shared_ptr<CachedFile> pinned,
+                           const WallTimer& timer) {
   io_.opens.inc();
   auto of = std::make_shared<OpenFile>();
-  of->path = path;
-  of->mode = mode;
+  of->path = std::move(path);
+  of->mode = posixfs::OpenMode::kRead;
   of->pinned = std::move(pinned);
   sync::MutexLock lk(fd_mu_);
   const int fd = next_fd_++;
@@ -593,28 +618,47 @@ std::int64_t FanStoreFs::lseek(int fd, std::int64_t offset, posixfs::Whence when
   return pos;
 }
 
-int FanStoreFs::stat(std::string_view path_in, format::FileStat* out) {
+int FanStoreFs::stat_nowait(std::string_view path_in, format::FileStat* out) {
   const std::string path = posixfs::normalize_path(path_in);
+  const auto st = meta_->lookup(path);
+  if (!st && options_.meta_resolver != nullptr) return -EAGAIN;
   charge_metadata();
-  const auto st = stat_of(path);
   if (!st) return -ENOENT;
   *out = *st;
   return 0;
 }
 
-int FanStoreFs::opendir(std::string_view path_in) {
+int FanStoreFs::stat(std::string_view path_in, format::FileStat* out) {
+  const int rc = stat_nowait(path_in, out);
+  if (rc != -EAGAIN) return rc;
+  // A local miss under sharded metadata: ask the path's shard owners.
+  charge_metadata();
+  const auto st = stat_of(posixfs::normalize_path(path_in));
+  if (!st) return -ENOENT;
+  *out = *st;
+  return 0;
+}
+
+int FanStoreFs::opendir_nowait(std::string_view path_in) {
+  if (options_.meta_resolver != nullptr) return -EAGAIN;
   const std::string path = posixfs::normalize_path(path_in);
   charge_metadata();
-  std::vector<posixfs::Dirent> entries;
-  if (options_.meta_resolver != nullptr) {
-    // Sharded namespace: the local store only indexes directories whose
-    // children hash here, so existence and listing union across ranks.
-    if (!options_.meta_resolver->dir_exists_union(path)) return -ENOENT;
-    entries = options_.meta_resolver->list_union(path);
-  } else {
-    if (!meta_->dir_exists(path)) return -ENOENT;
-    entries = meta_->list(path);
-  }
+  if (!meta_->dir_exists(path)) return -ENOENT;
+  return add_dir(meta_->list(path));
+}
+
+int FanStoreFs::opendir(std::string_view path_in) {
+  const int h = opendir_nowait(path_in);
+  if (h != -EAGAIN) return h;
+  // Sharded namespace: the local store only indexes directories whose
+  // children hash here, so existence and listing union across ranks.
+  const std::string path = posixfs::normalize_path(path_in);
+  charge_metadata();
+  if (!options_.meta_resolver->dir_exists_union(path)) return -ENOENT;
+  return add_dir(options_.meta_resolver->list_union(path));
+}
+
+int FanStoreFs::add_dir(std::vector<posixfs::Dirent> entries) {
   sync::MutexLock lk(dir_mu_);
   const int h = next_dir_++;
   open_dirs_[h] = OpenDir{std::move(entries), 0};

@@ -45,6 +45,7 @@
 #include "simnet/models.hpp"
 #include "simnet/virtual_clock.hpp"
 #include "util/sync.hpp"
+#include "util/timer.hpp"
 
 namespace fanstore::core {
 
@@ -136,6 +137,14 @@ class FanStoreFs final : public posixfs::Vfs {
   int opendir(std::string_view path) override;
   std::optional<posixfs::Dirent> readdir(int dir_handle) override;
   int closedir(int dir_handle) override;
+  /// The no-wait probes answer from the local metadata store and a
+  /// resident, fully decoded plain-tier entry (TieredCache::try_acquire).
+  /// They return -EAGAIN on a plain-tier miss, an entry with undecoded
+  /// chunks, a lookup that needs the sharded resolver, and any directory
+  /// listing under sharded metadata (a union across ranks).
+  int open_nowait(std::string_view path) override;
+  int stat_nowait(std::string_view path, format::FileStat* out) override;
+  int opendir_nowait(std::string_view path) override;
 
   /// Stages `path`'s *compressed* blob into the local backend without
   /// decompressing — the fetch half of the prefetch pipeline. Returns true
@@ -258,6 +267,13 @@ class FanStoreFs final : public posixfs::Vfs {
                       std::size_t threads);
 
   std::size_t decode_threads() const;
+
+  /// Installs a read fd over a pinned entry; counts the open and records
+  /// its latency from `timer`.
+  int add_reader(std::string path, std::shared_ptr<CachedFile> pinned,
+                 const WallTimer& timer);
+  /// Installs a directory handle over `entries`.
+  int add_dir(std::vector<posixfs::Dirent> entries);
 
   /// Metadata lookup honoring the sharded resolver: local shard store
   /// first, then the path's remote shard owners. Remote entries are not

@@ -266,6 +266,23 @@ std::shared_ptr<CachedFile> TieredCache::acquire_file(const std::string& path,
   return result;
 }
 
+std::shared_ptr<CachedFile> TieredCache::try_acquire(const std::string& path) {
+  Shard& s = shard_for(path);
+  std::shared_ptr<CachedFile> result;
+  {
+    sync::MutexLock lk(s.mu);
+    const auto it = s.entries.find(path);
+    if (it == s.entries.end()) return nullptr;  // absent or still loading
+    const CachedFile& f = *it->second.data;
+    if (!f.fully_materialized() || f.corrupt()) return nullptr;
+    it->second.open_count++;
+    hits_->inc();
+    result = it->second.data;
+  }
+  plain_hits_->inc();
+  return result;
+}
+
 void TieredCache::recharge(const std::string& path) {
   Shard& s = shard_for(path);
   std::vector<Demoted> demoted;

@@ -161,6 +161,13 @@ class TieredCache {
   std::shared_ptr<CachedFile> acquire_file(const std::string& path,
                                            const ColdLoader& cold);
 
+  /// The no-wait hit path: pins and returns `path`'s tier-0 entry when it
+  /// is resident, fully materialized and not corrupt, counted exactly like
+  /// an acquire_file hit. Otherwise returns nullptr having changed
+  /// nothing: it never waits on a load in flight, takes no single-flight
+  /// slot, evicts nothing and moves no counter.
+  std::shared_ptr<CachedFile> try_acquire(const std::string& path);
+
   /// Drops one pin (close()); the entry stays cached FIFO-style until
   /// capacity pressure evicts it.
   void release(const std::string& path);

@@ -1,6 +1,7 @@
 #include "ipc/protocol.hpp"
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -88,22 +89,6 @@ std::optional<ListReply> decode_list_reply(ByteView payload) {
 }
 
 namespace {
-bool write_all(int fd, const std::uint8_t* p, std::size_t n) {
-  while (n > 0) {
-    // MSG_NOSIGNAL: writing to a peer that hung up must fail with EPIPE,
-    // not kill the process with SIGPIPE — a daemon survives its clients
-    // and a client survives a daemon restart.
-    const ssize_t w = ::send(fd, p, n, MSG_NOSIGNAL);
-    if (w <= 0) {
-      if (w < 0 && errno == EINTR) continue;
-      return false;
-    }
-    p += w;
-    n -= static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
 bool read_all(int fd, std::uint8_t* p, std::size_t n) {
   while (n > 0) {
     const ssize_t r = ::read(fd, p, n);
@@ -119,9 +104,36 @@ bool read_all(int fd, std::uint8_t* p, std::size_t n) {
 }  // namespace
 
 bool write_frame(int fd, ByteView payload) {
+  // Header and payload leave in one sendmsg, so the peer never wakes for
+  // a bare 4-byte header; a short write resumes where it stopped.
   std::uint8_t header[4];
   store_le<std::uint32_t>(header, static_cast<std::uint32_t>(payload.size()));
-  return write_all(fd, header, 4) && write_all(fd, payload.data(), payload.size());
+  iovec iov[2] = {{header, sizeof(header)},
+                  {const_cast<std::uint8_t*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    // MSG_NOSIGNAL: writing to a peer that hung up must fail with EPIPE,
+    // not kill the process with SIGPIPE — a daemon survives its clients
+    // and a client survives a daemon restart.
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (w <= 0) {
+      if (w < 0 && errno == EINTR) continue;
+      return false;
+    }
+    auto done = static_cast<std::size_t>(w);
+    while (msg.msg_iovlen > 0 && done >= msg.msg_iov->iov_len) {
+      done -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<std::uint8_t*>(msg.msg_iov->iov_base) + done;
+      msg.msg_iov->iov_len -= done;
+    }
+  }
+  return true;
 }
 
 std::optional<Bytes> read_frame(int fd) {

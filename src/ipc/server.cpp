@@ -25,13 +25,30 @@ std::uint64_t now_us() {
           .count());
 }
 
-// Prepends the [u32 len] frame header to a reply payload.
+// Prepends the [u32 len] frame header to a (small, metadata) reply payload.
 Bytes frame_reply(const Bytes& payload) {
   Bytes out;
   out.reserve(4 + payload.size());
   append_le<std::uint32_t>(out, static_cast<std::uint32_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
+}
+
+// A framed kGet reply, [u32 len][status][file bytes], built in one buffer:
+// the file is read from `fd` straight into place (no payload copies). A
+// failed read answers kNotFound, as a failed open does.
+Bytes get_reply_frame(posixfs::Vfs& fs, int fd) {
+  Bytes frame(5);
+  frame[4] = static_cast<std::uint8_t>(Status::kOk);
+  const bool ok = posixfs::append_to_end(fs, fd, &frame);
+  fs.close(fd);
+  if (!ok) {
+    frame.resize(5);
+    frame[4] = static_cast<std::uint8_t>(Status::kNotFound);
+  }
+  store_le<std::uint32_t>(frame.data(),
+                          static_cast<std::uint32_t>(frame.size() - 4));
+  return frame;
 }
 
 // Waits for a closure deferred onto `loop` to finish (start/stop plumbing;
@@ -64,7 +81,8 @@ struct Server::Conn {
 
   Bytes inbuf;                  // unparsed inbound bytes
   std::deque<Bytes> requests;   // complete frames awaiting service
-  bool inflight = false;        // one request in the blocker pool
+  bool inflight = false;        // one request in the blocker pool; nothing
+                                // is answered inline meanwhile (order)
 
   std::deque<Bytes> outq;       // framed replies awaiting write
   std::size_t out_off = 0;      // progress into outq.front()
@@ -100,6 +118,7 @@ Server::Server(std::vector<Endpoint> listen_on, posixfs::Vfs& fs,
   obs::MetricsRegistry& m = *options_.metrics;
   accepted_ = &m.counter("ipc.accepted");
   requests_ = &m.counter("ipc.requests");
+  inline_requests_ = &m.counter("ipc.inline_requests");
   protocol_errors_ = &m.counter("ipc.protocol_errors");
   bytes_in_ = &m.counter("ipc.bytes_in");
   bytes_out_ = &m.counter("ipc.bytes_out");
@@ -276,11 +295,18 @@ void Server::conn_ready(const std::shared_ptr<Conn>& conn,
     parse_frames(conn);
     if (conn->dead) return;
     pump_requests(conn);
+    if (conn->dead) return;
   }
   if (events & EPOLLOUT) {
     flush_writes(conn);
     if (conn->dead) return;
+    pump_requests(conn);  // frames held back while replies were queued
+    if (conn->dead) return;
   }
+  finish_round(conn);
+}
+
+void Server::finish_round(const std::shared_ptr<Conn>& conn) {
   update_interest(conn);
   if (conn->peer_eof && conn->outq.empty() && !conn->inflight &&
       conn->requests.empty()) {
@@ -321,77 +347,112 @@ void Server::parse_frames(const std::shared_ptr<Conn>& conn) {
 }
 
 void Server::pump_requests(const std::shared_ptr<Conn>& conn) {
-  if (conn->dead || conn->inflight || conn->requests.empty()) return;
-  Bytes payload = std::move(conn->requests.front());
-  conn->requests.pop_front();
-  conn->inflight = true;
-  const std::uint64_t t0 = now_us();
-  blocker_->submit([this, conn, payload = std::move(payload), t0]() mutable {
-    // Blocker-pool side: only `payload`, the Vfs, and the (atomic)
-    // counters are touched — never the connection state.
-    Bytes frame = frame_reply(serve_frame(as_view(payload)));
-    conn->shard->loop.defer([this, conn, frame = std::move(frame), t0]() mutable {
-      on_reply(conn, std::move(frame), t0);
+  // Answer queued frames in order on this loop thread while the Vfs can
+  // do so without blocking; the first one that would block goes to the
+  // blocker pool, and the rest wait for its reply (on_reply resumes this
+  // loop). Serving pauses while the queued replies exceed the high-water
+  // mark; EPOLLOUT resumes it once they drain.
+  bool answered = false;
+  while (!conn->dead && !conn->inflight && !conn->requests.empty() &&
+         conn->out_bytes <= options_.write_high_water) {
+    const Bytes payload = std::move(conn->requests.front());
+    conn->requests.pop_front();
+    const std::uint64_t t0 = now_us();
+    auto request = decode_request(as_view(payload));
+    if (!request) {
+      protocol_errors_->inc();
+      push_reply(*conn, frame_reply(encode_get_reply(Status::kError, {})), t0);
+      answered = true;
+      continue;
+    }
+    if (auto frame = serve(*request, /*nowait=*/true)) {
+      inline_requests_->inc();
+      push_reply(*conn, std::move(*frame), t0);
+      answered = true;
+      continue;
+    }
+    conn->inflight = true;
+    blocker_->submit([this, conn, request = std::move(*request), t0] {
+      // Blocker-pool side: only the request, the Vfs, and the (atomic)
+      // counters are touched — never the connection state.
+      Bytes frame = *serve(request, /*nowait=*/false);
+      conn->shard->loop.defer(
+          [this, conn, frame = std::move(frame), t0]() mutable {
+            on_reply(conn, std::move(frame), t0);
+          });
     });
-  });
+  }
+  if (answered) send_replies(conn);
 }
 
-Bytes Server::serve_frame(ByteView payload) {
-  const auto request = decode_request(payload);
-  if (!request) {
-    protocol_errors_->inc();
-    return encode_get_reply(Status::kError, {});
-  }
-  Bytes reply;
-  switch (request->op) {
+std::optional<Bytes> Server::serve(const Request& request, bool nowait) {
+  // With `nowait`, every Vfs call is a no-wait probe and -EAGAIN returns
+  // nullopt with nothing done; the fds and handles a probe returns are
+  // read and closed without blocking.
+  const auto would_block = [nowait](int rc) { return nowait && rc == -EAGAIN; };
+  Bytes frame;
+  switch (request.op) {
     case Op::kGet: {
-      const auto data = posixfs::read_file(fs_, request->path);
-      reply = data ? encode_get_reply(Status::kOk, as_view(*data))
-                   : encode_get_reply(Status::kNotFound, {});
+      const int fd = nowait ? fs_.open_nowait(request.path)
+                            : fs_.open(request.path, posixfs::OpenMode::kRead);
+      if (would_block(fd)) return std::nullopt;
+      frame = fd >= 0 ? get_reply_frame(fs_, fd)
+                      : frame_reply(encode_get_reply(Status::kNotFound, {}));
       break;
     }
     case Op::kStat: {
       format::FileStat st;
-      const int rc = fs_.stat(request->path, &st);
-      reply = encode_stat_reply(rc == 0 ? Status::kOk : Status::kNotFound, st);
+      const int rc = nowait ? fs_.stat_nowait(request.path, &st)
+                            : fs_.stat(request.path, &st);
+      if (would_block(rc)) return std::nullopt;
+      frame = frame_reply(
+          encode_stat_reply(rc == 0 ? Status::kOk : Status::kNotFound, st));
       break;
     }
     case Op::kList: {
-      const int h = fs_.opendir(request->path);
+      const int h = nowait ? fs_.opendir_nowait(request.path)
+                           : fs_.opendir(request.path);
+      if (would_block(h)) return std::nullopt;
       if (h < 0) {
-        reply = encode_list_reply(Status::kNotFound, {});
+        frame = frame_reply(encode_list_reply(Status::kNotFound, {}));
         break;
       }
       std::vector<posixfs::Dirent> entries;
       while (auto e = fs_.readdir(h)) entries.push_back(std::move(*e));
       fs_.closedir(h);
-      reply = encode_list_reply(Status::kOk, entries);
+      frame = frame_reply(encode_list_reply(Status::kOk, entries));
       break;
     }
   }
   requests_->inc();
-  return reply;
+  return frame;
 }
 
-void Server::on_reply(const std::shared_ptr<Conn>& conn, Bytes frame,
-                      std::uint64_t t0_us) {
-  if (conn->dead) return;
-  conn->inflight = false;
+void Server::push_reply(Conn& conn, Bytes frame, std::uint64_t t0_us) {
   serve_us_->record(now_us() - t0_us);
-  conn->out_bytes += frame.size();
-  conn->outq.push_back(std::move(frame));
+  conn.out_bytes += frame.size();
+  conn.outq.push_back(std::move(frame));
+}
+
+void Server::send_replies(const std::shared_ptr<Conn>& conn) {
   flush_writes(conn);
   if (conn->dead) return;
   if (!conn->paused && conn->out_bytes > options_.write_high_water) {
     conn->paused = true;
     backpressure_pauses_->inc();
   }
+}
+
+void Server::on_reply(const std::shared_ptr<Conn>& conn, Bytes frame,
+                      std::uint64_t t0_us) {
+  if (conn->dead) return;
+  conn->inflight = false;
+  push_reply(*conn, std::move(frame), t0_us);
+  send_replies(conn);
+  if (conn->dead) return;
   pump_requests(conn);
-  update_interest(conn);
-  if (conn->peer_eof && conn->outq.empty() && !conn->inflight &&
-      conn->requests.empty()) {
-    close_conn(conn);
-  }
+  if (conn->dead) return;
+  finish_round(conn);
 }
 
 void Server::flush_writes(const std::shared_ptr<Conn>& conn) {

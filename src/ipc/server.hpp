@@ -1,26 +1,37 @@
 // Event-driven socket server for the FanStore daemon front door
 // (DESIGN.md §11). Replaces the thread-per-connection UdsServer: N shard
-// threads each run an epoll EventLoop over a slice of the connections, and
-// a fixed BlockerPool executes the (blocking) Vfs work, so one node daemon
-// serves hundreds of trainer processes through a fixed number of threads.
+// threads each run an epoll EventLoop over a slice of the connections.
+// A request the Vfs can answer without blocking (a RAM-resident file,
+// local metadata: the Vfs no-wait probes) is served inline on the shard
+// loop; only one that would block goes to a fixed BlockerPool, so one
+// node daemon serves hundreds of trainer processes through a fixed number
+// of threads.
 //
 // Per-connection state machine (owned by the connection's shard thread):
 //
-//   reading ──complete frame──▶ queued ──▶ in-flight (blocker pool)
-//      ▲                                        │ reply via defer()
-//      │ resume below low-water                 ▼
-//   paused ◀──write queue over high-water── writing ──▶ reading
+//   reading ──complete frame──▶ queued ──probe answers──▶ served inline ──┐
+//      ▲                          │                                        │
+//      │                          └─would block─▶ in-flight (blocker pool) │
+//      │                                           │ reply via defer()     │
+//      │ resume below low-water                    ▼                       │
+//   paused ◀──write queue over high-water── writing ◀─────────────────────┘
+//                                              │ drained
+//                                              └──▶ reading
 //
-// Replies complete on the shard loop via its eventfd wakeup and drain
+// Queued frames are served in order by one loop (pump_requests): each is
+// first tried with the Vfs no-wait probes, and the first that would block
+// goes to the blocker pool. While it is there the connection answers
+// nothing inline, so replies keep request order; its reply, completed on
+// the shard loop via the eventfd wakeup, resumes the loop. Replies drain
 // through a non-blocking write queue; a connection whose queued replies
-// exceed `write_high_water` stops being read (backpressure) until the
-// queue drains below half. Requests on one connection answer in order
-// (one in-flight at a time; further frames queue).
+// exceed `write_high_water` serves no queued frame until they drop back
+// under it, and is not read (backpressure) until they drain below half.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,10 +44,13 @@
 
 namespace fanstore::ipc {
 
+struct Request;
+
 struct ServerOptions {
   /// Shard (event-loop) threads; 0 = hardware concurrency.
   std::size_t shards = 0;
-  /// Blocker-pool threads for Vfs work; 0 = max(2, hardware concurrency).
+  /// Blocker-pool threads for Vfs work that would block; 0 = max(2,
+  /// hardware concurrency).
   std::size_t blocker_threads = 0;
   /// listen(2) backlog (the old server hardcoded 64).
   int backlog = 64;
@@ -44,8 +58,9 @@ struct ServerOptions {
   /// anything big is garbage; a larger declared length gets an error reply
   /// and the connection is closed without allocating the claimed size.
   std::size_t max_request_bytes = 1u << 20;
-  /// Per-connection queued-reply bytes above which the server stops
-  /// reading that connection until the queue drains below half.
+  /// Per-connection queued-reply bytes above which the server serves none
+  /// of that connection's queued frames, and stops reading it until the
+  /// queue drains below half.
   std::size_t write_high_water = 8u << 20;
   /// Close connections idle for this long (0 = never). Idle means no
   /// bytes read or written and nothing queued or in flight.
@@ -90,13 +105,18 @@ class Server {
   void conn_ready(const std::shared_ptr<Conn>& conn, std::uint32_t events);
   void parse_frames(const std::shared_ptr<Conn>& conn);
   void pump_requests(const std::shared_ptr<Conn>& conn);
+  void push_reply(Conn& conn, Bytes frame, std::uint64_t t0_us);
+  void send_replies(const std::shared_ptr<Conn>& conn);
   void on_reply(const std::shared_ptr<Conn>& conn, Bytes frame,
                 std::uint64_t t0_us);
+  void finish_round(const std::shared_ptr<Conn>& conn);
   void flush_writes(const std::shared_ptr<Conn>& conn);
   void update_interest(const std::shared_ptr<Conn>& conn);
   void close_conn(const std::shared_ptr<Conn>& conn);
   void sweep_idle(Shard* shard);
-  Bytes serve_frame(ByteView payload);  // blocker-pool side: Vfs work
+  /// The framed reply to `request`; with `nowait`, nullopt (nothing done)
+  /// when the Vfs would block.
+  std::optional<Bytes> serve(const Request& request, bool nowait);
 
   posixfs::Vfs& fs_;
   ServerOptions options_;
@@ -115,6 +135,7 @@ class Server {
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;  // when not injected
   obs::Counter* accepted_;
   obs::Counter* requests_;
+  obs::Counter* inline_requests_;
   obs::Counter* protocol_errors_;
   obs::Counter* bytes_in_;
   obs::Counter* bytes_out_;

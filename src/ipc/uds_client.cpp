@@ -74,15 +74,15 @@ std::optional<Bytes> UdsClientVfs::call(ByteView request) {
 int UdsClientVfs::open(std::string_view path_in, posixfs::OpenMode mode) {
   if (mode != posixfs::OpenMode::kRead) return -EROFS;  // read-only transport
   const std::string path = posixfs::normalize_path(path_in);
-  const auto reply = call(as_view(encode_request(Op::kGet, path)));
-  if (!reply) return -EIO;
-  auto get = decode_get_reply(as_view(*reply));
-  if (!get) return -EIO;
-  if (get->status != Status::kOk) return -ENOENT;
+  auto reply = call(as_view(encode_request(Op::kGet, path)));
+  if (!reply || reply->empty()) return -EIO;
+  if ((*reply)[0] != static_cast<std::uint8_t>(Status::kOk)) return -ENOENT;
+  // The reply buffer becomes the file: drop the status byte in place
+  // rather than copying the bytes into a second file-sized allocation.
+  reply->erase(reply->begin());
   sync::MutexLock lk(mu_);
   const int fd = next_fd_++;
-  open_files_[fd] =
-      OpenFile{std::make_shared<const Bytes>(std::move(get->data)), 0};
+  open_files_[fd] = OpenFile{std::make_shared<const Bytes>(std::move(*reply)), 0};
   return fd;
 }
 

@@ -26,6 +26,15 @@ class MemVfs final : public Vfs {
   int opendir(std::string_view path) override;
   std::optional<Dirent> readdir(int dir_handle) override;
   int closedir(int dir_handle) override;
+  // Every call here takes only the one in-memory table lock, so the
+  // no-wait probes always answer.
+  int open_nowait(std::string_view path) override {
+    return open(path, OpenMode::kRead);
+  }
+  int stat_nowait(std::string_view path, format::FileStat* out) override {
+    return stat(path, out);
+  }
+  int opendir_nowait(std::string_view path) override { return opendir(path); }
 
   /// Creates an (empty) directory entry explicitly.
   void mkdir(std::string_view path);

@@ -37,33 +37,46 @@ std::int64_t Vfs::pread(int fd, MutByteView buf, std::uint64_t offset) {
   return n;
 }
 
-std::optional<Bytes> read_to_end(Vfs& fs, int fd) {
-  // One allocation of the remaining size, taken from lseek (no stat, so no
+int Vfs::open_nowait(std::string_view) { return -EAGAIN; }
+
+int Vfs::stat_nowait(std::string_view, format::FileStat*) { return -EAGAIN; }
+
+int Vfs::opendir_nowait(std::string_view) { return -EAGAIN; }
+
+bool append_to_end(Vfs& fs, int fd, Bytes* out) {
+  // One growth by the remaining size, taken from lseek (no stat, so no
   // metadata lookup); the chunked loop below then only confirms EOF, or
   // picks up whatever a file that grew meanwhile (or a Vfs without
   // kEnd) still has to give.
-  Bytes out;
+  const std::size_t base = out->size();
   const std::int64_t pos = fs.lseek(fd, 0, Whence::kCur);
   const std::int64_t end = pos >= 0 ? fs.lseek(fd, 0, Whence::kEnd) : -1;
   if (end >= 0) {
-    if (fs.lseek(fd, pos, Whence::kSet) != pos) return std::nullopt;
-    if (end > pos) out.resize(static_cast<std::size_t>(end - pos));
+    if (fs.lseek(fd, pos, Whence::kSet) != pos) return false;
+    if (end > pos) out->resize(base + static_cast<std::size_t>(end - pos));
   }
-  std::size_t got = 0;
-  while (got < out.size()) {
-    const std::int64_t n = fs.read(fd, MutByteView{out.data() + got, out.size() - got});
-    if (n < 0) return std::nullopt;
+  std::size_t got = base;
+  while (got < out->size()) {
+    const std::int64_t n =
+        fs.read(fd, MutByteView{out->data() + got, out->size() - got});
+    if (n < 0) return false;
     if (n == 0) break;
     got += static_cast<std::size_t>(n);
   }
-  out.resize(got);
+  out->resize(got);
   std::uint8_t chunk[64 * 1024];
   for (;;) {
     const std::int64_t n = fs.read(fd, MutByteView{chunk, sizeof(chunk)});
-    if (n < 0) return std::nullopt;
-    if (n == 0) return out;
-    out.insert(out.end(), chunk, chunk + n);
+    if (n < 0) return false;
+    if (n == 0) return true;
+    out->insert(out->end(), chunk, chunk + n);
   }
+}
+
+std::optional<Bytes> read_to_end(Vfs& fs, int fd) {
+  Bytes out;
+  if (!append_to_end(fs, fd, &out)) return std::nullopt;
+  return out;
 }
 
 std::optional<Bytes> read_file(Vfs& fs, std::string_view path) {

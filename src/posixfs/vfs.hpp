@@ -77,14 +77,33 @@ class Vfs {
 
   /// Returns 0 or -errno.
   virtual int closedir(int dir_handle) = 0;
+
+  // --- No-wait probes (in the style of preadv2(RWF_NOWAIT)) ---
+  // Each answers exactly like its blocking twin when it can do so without
+  // waiting on I/O, a peer, a load in flight or a decode; otherwise it
+  // returns -EAGAIN and does nothing: no fd, no counter, no charge. An fd
+  // or handle a probe returns can be read, seeked and closed without
+  // blocking. The defaults always say -EAGAIN, so a Vfs that does not
+  // know better (or a wrapper that forwards only the blocking calls)
+  // always takes the blocking path.
+
+  /// open(path, OpenMode::kRead), or -EAGAIN.
+  virtual int open_nowait(std::string_view path);
+  /// stat(path, out), or -EAGAIN.
+  virtual int stat_nowait(std::string_view path, format::FileStat* out);
+  /// opendir(path), or -EAGAIN.
+  virtual int opendir_nowait(std::string_view path);
 };
 
 /// Normalizes "a//b/./c" to "a/b/c"; strips leading and trailing slashes.
 /// Rejects ".." (returns empty string) — FanStore paths are dataset-rooted.
 std::string normalize_path(std::string_view path);
 
-/// Reads from `fd`'s offset to EOF into a buffer sized once from lseek;
-/// returns nullopt on error.
+/// Appends `fd`'s bytes from its offset to EOF to `*out`, growing it once
+/// by the size lseek reports; returns false on error.
+bool append_to_end(Vfs& fs, int fd, Bytes* out);
+
+/// Reads from `fd`'s offset to EOF (see append_to_end); nullopt on error.
 std::optional<Bytes> read_to_end(Vfs& fs, int fd);
 
 /// Reads an entire file through any Vfs; returns nullopt on error.

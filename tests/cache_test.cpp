@@ -8,12 +8,14 @@
 #include <chrono>
 #include <functional>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "compress/chunked.hpp"
 #include "compress/registry.hpp"
 #include "core/tiered_cache.hpp"
+#include "obs/metrics.hpp"
 #include "posixfs/mem_vfs.hpp"
 
 namespace fanstore::core {
@@ -629,6 +631,126 @@ TEST(TieredCacheTest, ZeroBudgetTiersDropVictimsAndKeepIdentity) {
             static_cast<std::uint64_t>(cold_calls));
   EXPECT_GT(m.counter("cache.hits"), 0u);
   EXPECT_EQ(m.counter("tier.plain.hits"), m.counter("cache.hits"));
+}
+
+/// Every "cache.*" and "tier.*" counter, for asserting that a refused
+/// try_acquire moved none of them.
+std::map<std::string, std::uint64_t> cache_counters(const TieredCache& tc) {
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& e : tc.metrics().snapshot().entries) {
+    if (e.kind != obs::MetricsSnapshot::Kind::kCounter) continue;
+    if (e.name.rfind("cache.", 0) == 0 || e.name.rfind("tier.", 0) == 0) {
+      out[e.name] = e.counter;
+    }
+  }
+  return out;
+}
+
+TEST(TryAcquireTest, HitPinsAndCountsLikeAcquireFileHit) {
+  TieredCache tc(plain_only(4096));
+  tc.acquire_file("f", flat(100, 7));
+  tc.release("f");
+  const auto before = cache_counters(tc);
+  const auto got = tc.try_acquire("f");
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->plain(), blob(100, 7));
+  EXPECT_EQ(tc.open_count("f"), 1);
+  auto after = cache_counters(tc);
+  EXPECT_EQ(after["cache.hits"], before.at("cache.hits") + 1);
+  EXPECT_EQ(after["tier.plain.hits"], before.at("tier.plain.hits") + 1);
+  after["cache.hits"]--;
+  after["tier.plain.hits"]--;
+  EXPECT_EQ(after, before);  // nothing else moved
+  tc.release("f");
+  EXPECT_EQ(tc.open_count("f"), 0);
+  const auto m = tc.metrics().snapshot();
+  EXPECT_EQ(m.counter("tier.plain.hits"), m.counter("cache.hits"));
+}
+
+TEST(TryAcquireTest, MissReturnsNullAndChangesNothing) {
+  TieredCache tc(plain_only(4096));
+  tc.acquire_file("other", flat(100, 1));
+  tc.release("other");
+  const auto before = cache_counters(tc);
+  const std::size_t bytes = tc.bytes_used();
+  EXPECT_EQ(tc.try_acquire("absent"), nullptr);
+  EXPECT_EQ(cache_counters(tc), before);
+  EXPECT_EQ(tc.bytes_used(), bytes);
+  EXPECT_FALSE(tc.contains("absent"));
+  // No single-flight slot was left behind: a later acquire loads normally.
+  int loads = 0;
+  tc.acquire_file("absent", flat(10, 2, &loads));
+  EXPECT_EQ(loads, 1);
+  tc.release("absent");
+}
+
+TEST(TryAcquireTest, InFlightLoadIsNotWaitedOn) {
+  TieredCache tc(plain_only(4096));
+  std::atomic<bool> loading{false};
+  std::atomic<bool> release_loader{false};
+  std::thread loader([&] {
+    tc.acquire_file("slow", [&] {
+      loading = true;
+      while (!release_loader) std::this_thread::yield();
+      ColdResult r;
+      r.file = std::make_shared<CachedFile>(blob(64, 3));
+      return r;
+    });
+    tc.release("slow");
+  });
+  while (!loading) std::this_thread::yield();
+  const auto before = cache_counters(tc);
+  // Returns at once while the load is still held in the loader.
+  EXPECT_EQ(tc.try_acquire("slow"), nullptr);
+  EXPECT_EQ(cache_counters(tc), before);
+  release_loader = true;
+  loader.join();
+  const auto m = tc.metrics().snapshot();
+  EXPECT_EQ(m.counter("cache.single_flight_waits"), 0u);
+  EXPECT_EQ(m.counter("cache.misses"), 1u);
+  const auto got = tc.try_acquire("slow");
+  ASSERT_NE(got, nullptr);
+  tc.release("slow");
+}
+
+TEST(TryAcquireTest, LazyPartiallyDecodedEntryIsRefused) {
+  TieredCache tc(plain_only(1 << 20));
+  const auto c = make_chunked(4);
+  auto f = tc.acquire_file("c", cold_of(c));
+  tc.release("c");
+  // Decode one of the four chunks: resident but not fully materialized.
+  Bytes buf(16);
+  f->read_range(0, MutByteView(buf.data(), buf.size()), nullptr);
+  ASSERT_FALSE(f->fully_materialized());
+  const auto before = cache_counters(tc);
+  EXPECT_EQ(tc.try_acquire("c"), nullptr);
+  EXPECT_EQ(cache_counters(tc), before);
+  EXPECT_EQ(tc.open_count("c"), 0);
+  f->materialize_all(1, nullptr);
+  tc.recharge("c");
+  const auto got = tc.try_acquire("c");
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->plain(), c.plain);
+  tc.release("c");
+}
+
+TEST(TryAcquireTest, CorruptEntryIsRefused) {
+  TieredCache tc(plain_only(1 << 20));
+  const auto c = make_chunked(5);
+  auto f = tc.acquire_file("bad", [&] {
+    ColdResult r;
+    r.file = std::make_shared<CachedFile>(Bytes(c.compressed), c.id,
+                                          c.plain.size(), /*plain_crc=*/1);
+    return r;
+  });
+  tc.release("bad");
+  f->materialize_all(1, nullptr);  // the whole-file crc check fails
+  ASSERT_TRUE(f->fully_materialized());
+  ASSERT_TRUE(f->corrupt());
+  const auto before = cache_counters(tc);
+  EXPECT_EQ(tc.try_acquire("bad"), nullptr);
+  EXPECT_EQ(cache_counters(tc), before);
+  EXPECT_EQ(tc.open_count("bad"), 0);
 }
 
 }  // namespace

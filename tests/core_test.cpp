@@ -707,5 +707,130 @@ TEST(FanStoreOptionsTest, ZeroTimeoutMeansWaitForever) {
   });
 }
 
+// --- No-wait probes ----------------------------------------------------------
+
+TEST(FanStoreNoWaitTest, AnswersOnlyResidentDecodedEntriesAndLocalMetadata) {
+  const Bytes flat_data = testdata::text_like(6000, 41);
+  const Bytes chunked_data = testdata::runs_and_noise(std::size_t{1} << 18, 42);
+  mpi::run_world(1, [&](mpi::Comm& comm) {
+    Instance inst(comm, {});
+    inst.load_partition_blob(
+        as_view(make_partition({{"data/f", flat_data}}, "lz4")), 0);
+    inst.load_partition_blob(
+        as_view(make_partition({{"data/c", chunked_data}}, "chunked-64k+lz4")),
+        1);
+    inst.exchange_metadata();
+    auto& fs = inst.fs();
+    auto& m = inst.metrics();
+    const auto opens = [&] { return m.counter("fs.opens").value(); };
+    const auto lookups = [&] {
+      return m.counter("cache.hits").value() + m.counter("cache.misses").value();
+    };
+
+    // Local metadata answers; errors are the blocking calls' errors.
+    format::FileStat st;
+    ASSERT_EQ(fs.stat_nowait("data/f", &st), 0);
+    EXPECT_EQ(st.size, flat_data.size());
+    EXPECT_EQ(fs.stat_nowait("nope", &st), -ENOENT);
+    EXPECT_EQ(fs.open_nowait("nope"), -ENOENT);
+    EXPECT_EQ(fs.open_nowait("data"), -EISDIR);
+    const int h = fs.opendir_nowait("data");
+    ASSERT_GE(h, 0);
+    int listed = 0;
+    while (fs.readdir(h)) ++listed;
+    EXPECT_EQ(listed, 2);
+    fs.closedir(h);
+    EXPECT_EQ(fs.opendir_nowait("nope"), -ENOENT);
+
+    // A plain-tier miss would block: refused, nothing counted or loaded.
+    EXPECT_EQ(fs.open_nowait("data/f"), -EAGAIN);
+    EXPECT_EQ(opens(), 0u);
+    EXPECT_EQ(lookups(), 0u);
+    EXPECT_FALSE(fs.cache().contains("data/f"));
+
+    // Once resident, the probe opens it: counted once, bytes intact.
+    ASSERT_TRUE(posixfs::read_file(fs, "data/f").has_value());
+    EXPECT_EQ(opens(), 1u);
+    const int fd = fs.open_nowait("data/f");
+    ASSERT_GE(fd, 0);
+    EXPECT_EQ(opens(), 2u);
+    EXPECT_EQ(posixfs::read_to_end(fs, fd), flat_data);
+    EXPECT_EQ(fs.close(fd), 0);
+    EXPECT_EQ(fs.cache().open_count("data/f"), 0);
+
+    // A resident chunked entry with undecoded chunks would decode: refused.
+    const int lazy = fs.open("data/c", posixfs::OpenMode::kRead);
+    ASSERT_GE(lazy, 0);
+    fs.close(lazy);
+    ASSERT_TRUE(fs.cache().contains("data/c"));
+    const std::uint64_t opens_before = opens();
+    const std::uint64_t lookups_before = lookups();
+    EXPECT_EQ(fs.open_nowait("data/c"), -EAGAIN);
+    EXPECT_EQ(opens(), opens_before);
+    EXPECT_EQ(lookups(), lookups_before);
+    ASSERT_TRUE(fs.warm_file("data/c"));
+    const int warm = fs.open_nowait("data/c");
+    ASSERT_GE(warm, 0);
+    EXPECT_EQ(posixfs::read_to_end(fs, warm), chunked_data);
+    fs.close(warm);
+    EXPECT_EQ(m.counter("fs.opens").value(), lookups());
+  });
+}
+
+/// A resolver whose every answer is counted: the probes must never ask it.
+class CountingResolver final : public cluster::MetaResolver {
+ public:
+  std::optional<cluster::VersionedStat> resolve(const std::string& path) override {
+    ++calls;
+    if (path != "remote/x") return std::nullopt;
+    return cluster::VersionedStat{regular_stat(10, 0), 1, 0};
+  }
+  std::vector<int> meta_owners(const std::string&) override { return {0}; }
+  std::vector<posixfs::Dirent> list_union(const std::string&) override {
+    ++calls;
+    return {posixfs::Dirent{"x", format::FileType::kRegular}};
+  }
+  bool dir_exists_union(const std::string&) override {
+    ++calls;
+    return true;
+  }
+  int calls = 0;
+};
+
+TEST(FanStoreNoWaitTest, ShardedResolverLookupsAndUnionsAreRefused) {
+  mpi::run_world(1, [&](mpi::Comm& comm) {
+    MetadataStore meta;
+    meta.insert("local/y", regular_stat(5, 0));
+    RamBackend backend;
+    CountingResolver resolver;
+    FanStoreFs::Options opt;
+    opt.meta_resolver = &resolver;
+    FanStoreFs fs(comm, &meta, &backend, opt);
+
+    format::FileStat st;
+    EXPECT_EQ(fs.stat_nowait("remote/x", &st), -EAGAIN);
+    EXPECT_EQ(fs.open_nowait("remote/x"), -EAGAIN);
+    EXPECT_EQ(fs.opendir_nowait("remote"), -EAGAIN);
+    EXPECT_EQ(fs.opendir_nowait("local"), -EAGAIN);  // always a union
+    EXPECT_EQ(resolver.calls, 0);
+    // A local hit needs no resolver.
+    ASSERT_EQ(fs.stat_nowait("local/y", &st), 0);
+    EXPECT_EQ(st.size, 5u);
+    EXPECT_EQ(resolver.calls, 0);
+    EXPECT_EQ(fs.metrics().counter("fs.opens").value(), 0u);
+
+    // The blocking calls take the resolver path.
+    ASSERT_EQ(fs.stat("remote/x", &st), 0);
+    EXPECT_EQ(st.size, 10u);
+    const int h = fs.opendir("remote");
+    ASSERT_GE(h, 0);
+    const auto e = fs.readdir(h);
+    ASSERT_TRUE(e.has_value());
+    EXPECT_EQ(e->name, "x");
+    fs.closedir(h);
+    EXPECT_EQ(resolver.calls, 3);
+  });
+}
+
 }  // namespace
 }  // namespace fanstore::core

@@ -10,17 +10,20 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "ipc/protocol.hpp"
 #include "ipc/server.hpp"
 #include "ipc/transport.hpp"
 #include "ipc/uds_client.hpp"
 #include "ipc/uds_server.hpp"
+#include "obs/metrics.hpp"
 #include "posixfs/mem_vfs.hpp"
 #include "tests/sanitizer_env.hpp"
 #include "tests/test_data.hpp"
@@ -412,6 +415,173 @@ TEST(IpcEventServerTest, StartStopIsIdempotentAndRestartable) {
     UdsClientVfs client(server.endpoints()[0].to_string());
     EXPECT_EQ(*posixfs::read_file(client, "x"), (Bytes{4, 2}));
   }
+  server.stop();
+}
+
+// --- Inline service vs the blocker pool -------------------------------------
+
+/// A MemVfs front whose files under "gate/" stand for cache misses: open()
+/// blocks until release() and the no-wait probe refuses them, so they go
+/// to the blocker pool. Every other file answers through the probes.
+class GatedVfs final : public posixfs::Vfs {
+ public:
+  explicit GatedVfs(posixfs::MemVfs& mem) : mem_(mem) {}
+
+  void release() { released_ = true; }
+  /// Waits until a gated open() has started; false on timeout.
+  bool wait_entered() const {
+    for (int i = 0; i < scale_ms(5000) && !entered_; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return entered_;
+  }
+
+  int open(std::string_view path, posixfs::OpenMode mode) override {
+    if (gated(path)) {
+      entered_ = true;
+      while (!released_) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return mem_.open(path, mode);
+  }
+  int open_nowait(std::string_view path) override {
+    return gated(path) ? -EAGAIN : mem_.open_nowait(path);
+  }
+  int stat_nowait(std::string_view path, format::FileStat* out) override {
+    return mem_.stat_nowait(path, out);
+  }
+  int opendir_nowait(std::string_view path) override {
+    return mem_.opendir_nowait(path);
+  }
+  int close(int fd) override { return mem_.close(fd); }
+  std::int64_t read(int fd, MutByteView buf) override { return mem_.read(fd, buf); }
+  std::int64_t write(int fd, ByteView buf) override { return mem_.write(fd, buf); }
+  std::int64_t lseek(int fd, std::int64_t off, posixfs::Whence w) override {
+    return mem_.lseek(fd, off, w);
+  }
+  int stat(std::string_view path, format::FileStat* out) override {
+    return mem_.stat(path, out);
+  }
+  int opendir(std::string_view path) override { return mem_.opendir(path); }
+  std::optional<posixfs::Dirent> readdir(int h) override { return mem_.readdir(h); }
+  int closedir(int h) override { return mem_.closedir(h); }
+
+ private:
+  static bool gated(std::string_view path) { return path.rfind("gate/", 0) == 0; }
+  posixfs::MemVfs& mem_;
+  std::atomic<bool> entered_{false};
+  std::atomic<bool> released_{false};
+};
+
+TEST(IpcInlineServeTest, HitAnsweredWhileOtherConnectionsMissIsInFlight) {
+  // One shard, one blocker: a miss on connection A occupies the only
+  // blocker thread. B's hit must still be answered, inline on the loop.
+  posixfs::MemVfs mem;
+  const Bytes miss = testdata::random_bytes(3000, 11);
+  const Bytes hit = testdata::random_bytes(5000, 12);
+  posixfs::write_file(mem, "gate/a", as_view(miss));
+  posixfs::write_file(mem, "ds/hit", as_view(hit));
+  GatedVfs fs(mem);
+  obs::MetricsRegistry metrics;
+  ServerOptions opt;
+  opt.shards = 1;
+  opt.blocker_threads = 1;
+  opt.metrics = &metrics;
+  Server server({Endpoint::uds(unique_socket_path("inline_b"))}, fs, opt);
+  server.start();
+  const std::string spec = server.endpoints()[0].to_string();
+
+  std::optional<Bytes> got_a;
+  std::thread a([&] {
+    UdsClientVfs client(spec);
+    got_a = posixfs::read_file(client, "gate/a");
+  });
+  if (!fs.wait_entered()) {
+    fs.release();
+    a.join();
+    FAIL() << "the gated miss never reached the blocker pool";
+  }
+
+  std::atomic<bool> b_done{false};
+  std::optional<Bytes> got_b;
+  std::thread b([&] {
+    UdsClientVfs client(spec);
+    got_b = posixfs::read_file(client, "ds/hit");
+    b_done = true;
+  });
+  for (int i = 0; i < scale_ms(5000) && !b_done; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool b_answered_while_gated = b_done.load();
+  fs.release();  // let A finish either way, so a failure cannot hang
+  a.join();
+  b.join();
+  EXPECT_TRUE(b_answered_while_gated);
+  ASSERT_TRUE(got_b.has_value());
+  EXPECT_EQ(*got_b, hit);
+  ASSERT_TRUE(got_a.has_value());
+  EXPECT_EQ(*got_a, miss);
+  EXPECT_EQ(metrics.counter("ipc.requests").value(), 2u);
+  EXPECT_EQ(metrics.counter("ipc.inline_requests").value(), 1u);
+  EXPECT_EQ(metrics.histogram("ipc.blocker_wait_us").snapshot().count, 1u);
+  EXPECT_EQ(metrics.histogram("ipc.serve_us").snapshot().count, 2u);
+  server.stop();
+}
+
+TEST(IpcInlineServeTest, PipelinedMissThenHitsReplyInOrder) {
+  posixfs::MemVfs mem;
+  const Bytes miss = testdata::random_bytes(7000, 13);
+  const Bytes hit = testdata::random_bytes(900, 14);
+  posixfs::write_file(mem, "gate/m", as_view(miss));
+  posixfs::write_file(mem, "ds/h", as_view(hit));
+  GatedVfs fs(mem);
+  obs::MetricsRegistry metrics;
+  ServerOptions opt;
+  opt.shards = 1;
+  opt.blocker_threads = 2;
+  opt.metrics = &metrics;
+  Server server({Endpoint::uds(unique_socket_path("inline_pipe"))}, fs, opt);
+  server.start();
+  const int fd = raw_connect(server.endpoints()[0].to_string());
+  ASSERT_GE(fd, 0);
+
+  // [miss, hit, hit] in one write: the hits are parsed while the miss is
+  // on the blocker pool, and must not overtake it.
+  Bytes wire;
+  for (const auto& [op, path] :
+       {std::pair{Op::kGet, "gate/m"}, std::pair{Op::kGet, "ds/h"},
+        std::pair{Op::kStat, "ds/h"}}) {
+    const Bytes req = encode_request(op, path);
+    append_le<std::uint32_t>(wire, static_cast<std::uint32_t>(req.size()));
+    wire.insert(wire.end(), req.begin(), req.end());
+  }
+  ASSERT_TRUE(send_all(fd, as_view(wire)));
+  ASSERT_TRUE(fs.wait_entered());
+  std::this_thread::sleep_for(std::chrono::milliseconds(scale_ms(50)));
+  std::uint8_t probe;
+  EXPECT_EQ(::recv(fd, &probe, 1, MSG_DONTWAIT), -1)
+      << "a reply overtook the in-flight miss";
+  fs.release();
+
+  const auto r1 = read_frame(fd);
+  ASSERT_TRUE(r1.has_value());
+  const auto g1 = decode_get_reply(as_view(*r1));
+  ASSERT_TRUE(g1.has_value());
+  EXPECT_EQ(g1->status, Status::kOk);
+  EXPECT_EQ(g1->data, miss);
+  const auto r2 = read_frame(fd);
+  ASSERT_TRUE(r2.has_value());
+  const auto g2 = decode_get_reply(as_view(*r2));
+  ASSERT_TRUE(g2.has_value());
+  EXPECT_EQ(g2->data, hit);
+  const auto r3 = read_frame(fd);
+  ASSERT_TRUE(r3.has_value());
+  const auto s3 = decode_stat_reply(as_view(*r3));
+  ASSERT_TRUE(s3.has_value());
+  EXPECT_EQ(s3->status, Status::kOk);
+  EXPECT_EQ(s3->stat.size, hit.size());
+  ::close(fd);
+  EXPECT_EQ(metrics.counter("ipc.requests").value(), 3u);
+  EXPECT_EQ(metrics.counter("ipc.inline_requests").value(), 2u);
   server.stop();
 }
 

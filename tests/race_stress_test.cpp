@@ -28,6 +28,7 @@
 #include "obs/trace.hpp"
 #include "posixfs/mem_vfs.hpp"
 #include "tests/test_data.hpp"
+#include "util/crc32.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fanstore {
@@ -194,6 +195,93 @@ TEST(RaceStressTest, ChunkedPartialMaterializationRace) {
   EXPECT_TRUE(file->fully_materialized());
   EXPECT_EQ(file->plain(), original);
   cache.release("big");
+}
+
+TEST(RaceStressTest, InlineProbesRaceEviction) {
+  // The ipc server's inline hit path (TieredCache::try_acquire) against
+  // loaders that keep evicting: 4 threads acquire 24 paths through an
+  // 8-shard cache that holds about a third of them, materializing the lazy
+  // chunked half as they go; 4 threads probe the same paths without
+  // waiting. A probe may only ever hand out a whole, correct entry, and the
+  // pins and budget accounting must balance at the end.
+  const auto& reg = compress::Registry::instance();
+  const compress::Compressor* codec = reg.by_name("chunked-4k+lz4");
+  ASSERT_NE(codec, nullptr);
+  const compress::CompressorId id = reg.id_of(*codec);
+  constexpr int kPaths = 24;
+  std::vector<Bytes> plain(kPaths);
+  std::vector<Bytes> packed(kPaths);
+  for (int p = 0; p < kPaths; ++p) {
+    plain[p] = testdata::runs_and_noise(16 << 10, static_cast<std::uint64_t>(p));
+    packed[p] = codec->compress(as_view(plain[p]));
+  }
+  const auto path_of = [](int p) { return "p" + std::to_string(p); };
+  core::TieredCache cache(plain_tier(std::size_t{192} << 10, 8));
+  ASSERT_EQ(cache.shard_count(), 8u);
+
+  constexpr int kLoaders = 4;
+  constexpr int kProbers = 4;
+  constexpr int kIters = 300;
+  std::atomic<std::uint64_t> acquires{0};
+  std::atomic<std::uint64_t> probe_hits{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kLoaders; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kIters; ++i) {
+        const int p = (t * 5 + i) % kPaths;
+        const std::string path = path_of(p);
+        const auto f = cache.acquire_file(path, [&, p] {
+          core::ColdResult r;
+          if (p % 2 == 0) {
+            r.file = std::make_shared<core::CachedFile>(Bytes(plain[p]));
+          } else {
+            r.file = std::make_shared<core::CachedFile>(
+                Bytes(packed[p]), id, plain[p].size(), crc32(as_view(plain[p])));
+          }
+          return r;
+        });
+        acquires.fetch_add(1);
+        if (i % 2 == 0) {
+          f->materialize_all(1, nullptr);
+          cache.recharge(path);
+        }
+        cache.release(path);
+      }
+    });
+  }
+  for (int t = 0; t < kProbers; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kIters * 2; ++i) {
+        const int p = (t * 7 + i) % kPaths;
+        const std::string path = path_of(p);
+        const auto f = cache.try_acquire(path);
+        if (f == nullptr) continue;
+        probe_hits.fetch_add(1);
+        ASSERT_TRUE(f->fully_materialized());
+        ASSERT_FALSE(f->corrupt());
+        ASSERT_EQ(f->plain(), plain[p]) << path;
+        cache.release(path);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_GT(probe_hits.load(), 0u);
+  const auto stats = cache.metrics().snapshot();
+  EXPECT_EQ(stats.counter("cache.hits") + stats.counter("cache.misses"),
+            acquires.load() + probe_hits.load());
+  EXPECT_EQ(stats.counter("tier.plain.hits"), stats.counter("cache.hits"));
+  EXPECT_GT(stats.counter("cache.evictions"), 0u);
+  std::size_t charged = 0;
+  for (int p = 0; p < kPaths; ++p) {
+    EXPECT_EQ(cache.open_count(path_of(p)), 0) << p;
+    // Each resident entry is charged its plain bytes, plus its frame
+    // when chunked; lazily decoded ones may be charged less.
+    if (cache.contains(path_of(p))) {
+      charged += plain[p].size() + (p % 2 == 1 ? packed[p].size() : 0);
+    }
+  }
+  EXPECT_LE(cache.bytes_used(), charged);
+  EXPECT_LE(cache.bytes_used(), cache.capacity());
 }
 
 TEST(RaceStressTest, TieredPromoteDemoteAcrossShards) {

@@ -148,20 +148,21 @@ build/tools/lint/fanstore-lint \
   src
 
 # Hot-path perf smoke: quick sharded-vs-legacy cache sweep. Catches gross
-# concurrency regressions and refreshes BENCH_hotpath.json at the repo root
-# (run `build/bench/bench_hotpath` without --quick for the recorded numbers).
+# concurrency regressions; its JSON goes to /tmp so the committed
+# BENCH_hotpath.json stays the full run (`build/bench/bench_hotpath`
+# without --quick).
 # Since the observability PR it also cross-checks the metrics registry
 # against the bench's own op/loader bookkeeping and exits non-zero on any
 # disagreement.
 echo "==== [bench] bench_hotpath --quick ===="
-build/bench/bench_hotpath --quick --json "$repo_root/BENCH_hotpath.json"
+build/bench/bench_hotpath --quick --json /tmp/BENCH_hotpath_quick.json
 
 # Chunked-container smoke: parallel whole-file decode + the partial-pread
 # acceptance check (a 64 KiB pread must decode <= 2 chunks, verified via the
-# "chunked.*" counters; non-zero exit on violation). Run without --quick for
-# the recorded BENCH_chunked.json numbers.
+# "chunked.*" counters; non-zero exit on violation). Its JSON goes to /tmp;
+# run without --quick for the recorded BENCH_chunked.json numbers.
 echo "==== [bench] bench_chunked --quick ===="
-build/bench/bench_chunked --quick --json "$repo_root/BENCH_chunked.json"
+build/bench/bench_chunked --quick --json /tmp/BENCH_chunked_quick.json
 
 # Clairvoyant-planner smoke (DESIGN.md §10): reactive prefetch vs
 # plan-driven prefetch + Belady eviction at 8 and 64 ranks in virtual time.
